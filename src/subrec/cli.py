@@ -29,16 +29,17 @@ from .language import (
     recurrence_constant_empirical,
 )
 from .morphism import (
+    FixedPointSeed,
     Morphism,
     admissible_seeds,
     default_seed_power_cap,
-    incidence_matrix,
-    is_primitive,
     parse_morphism,
+    primitivity,
 )
 from .recognizability import (
     BigValue,
     BoundBreakdown,
+    SyncResult,
     certified_constants,
     closed_form_bound,
     exact_ratio_constant,
@@ -61,10 +62,6 @@ def _round_float(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def _big(x: int) -> str:
-    return big_str(x)
-
-
 def _fmt_big_human(x: int) -> str:
     s = big_str(x)
     if len(s) <= FULL_PRINT_DIGITS:
@@ -74,19 +71,19 @@ def _fmt_big_human(x: int) -> str:
 
 def _big_value_json(v: BigValue):
     if v.exact is not None:
-        return _big(v.exact)
+        return big_str(v.exact)
     return {"expr": v.expr, "log10": _round_float(v.log10)}
 
 
 def _breakdown_json(b: BoundBreakdown) -> dict:
     out = {
         "mode": b.mode,
-        "N": _big(b.N),
-        "k": _big(b.k),
+        "N": big_str(b.N),
+        "k": big_str(b.k),
         "K": str(b.K),
         "d": b.d,
-        "R": _big(b.R),
-        "Q": _big(b.Q),
+        "R": big_str(b.R),
+        "Q": big_str(b.Q),
         "M": _big_value_json(b.M),
         "bound": _big_value_json(b.bound),
         "log10": _round_float(b.bound.log10),
@@ -95,6 +92,22 @@ def _breakdown_json(b: BoundBreakdown) -> dict:
     if b.bound.exact is not None:
         out["digits"] = digits10(b.bound.exact)
     return out
+
+
+def _seeds_json(m: Morphism, seeds: list[FixedPointSeed]) -> dict:
+    return {
+        "power": seeds[0].power if seeds else None,
+        "pairs": [[m.decode(s.left), m.decode(s.right)] for s in seeds],
+    }
+
+
+def _delay_json(m: Morphism, result: SyncResult) -> dict:
+    return {
+        "C": result.delay,
+        "L_from_C": result.L_from_C,
+        "n_max": result.n_max,
+        "failures": [[n, [m.decode(u) for u in bad]] for n, bad in result.per_length if bad],
+    }
 
 
 @dataclass
@@ -190,7 +203,7 @@ def analyze(
     warnings: list[str] = []
     alphabet = [letter.display for letter in m.letters]
     rules = m.rules_text().splitlines()
-    prim = is_primitive(incidence_matrix(m))
+    prim = primitivity(m)
     primitive = {"is": prim.primitive, "witness": prim.witness}
 
     if not prim.primitive:
@@ -204,10 +217,7 @@ def analyze(
         )
 
     seeds = admissible_seeds(m)
-    seeds_json = {
-        "power": seeds[0].power if seeds else None,
-        "pairs": [[m.decode(s.left), m.decode(s.right)] for s in seeds],
-    }
+    seeds_json = _seeds_json(m, seeds)
     if not seeds:
         warnings.append(
             f"no admissible seed up to the power cap {default_seed_power_cap(m)}"
@@ -224,14 +234,14 @@ def analyze(
     constants = {
         "widest": str(m.widest),
         "narrowest": str(m.narrowest),
-        "K_cert": _big(certs.K_cert),
+        "K_cert": big_str(certs.K_cert),
         "d": chain.d,
         "d_safe": chain.d_safe,
     }
     if not screening.periodic:
         n_exact, n_warnings = exact_ratio_constant(m)
         warnings.extend(n_warnings)
-        constants["N"] = _big(n_exact)
+        constants["N"] = big_str(n_exact)
         pf = power_free_index(m)
         constants["k"] = str(pf.k) if pf.kind == "bounded" else pf.kind
         k_emp = recurrence_constant_empirical(m, 4)
@@ -241,12 +251,7 @@ def analyze(
     lang_profile = [complexity(m, n) for n in range(1, n_report + 1)]
 
     delay = synchronizing_delay(m, max_delay)
-    delay_json = {
-        "C": delay.delay,
-        "L_from_C": delay.L_from_C,
-        "n_max": delay.n_max,
-        "failures": [[n, [m.decode(u) for u in bad]] for n, bad in delay.per_length if bad],
-    }
+    delay_json = _delay_json(m, delay)
     if delay.screened_periodic:
         warnings.append("delay search skipped: periodic fixed points are never circular")
     elif delay.delay is None:
@@ -277,7 +282,7 @@ def analyze(
         cf = closed_form_bound(m)
         bounds["closed_form"] = {
             "base": cf.base,
-            "exponent": _big(cf.exponent),
+            "exponent": big_str(cf.exponent),
             "addend_power": cf.addend_power,
             "value": _big_value_json(cf.value),
             "log10": _round_float(cf.value.log10),
@@ -294,7 +299,11 @@ def analyze(
 
 
 def _load(path: str) -> Morphism:
-    return parse_morphism(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return parse_morphism(text)
 
 
 def _emit_json(payload, out):
@@ -381,18 +390,8 @@ def _cmd_bound(args, out) -> int:
 def _cmd_delay(args, out) -> int:
     m = _load(args.file)
     result = synchronizing_delay(m, args.max)
-    failures = [[n, [m.decode(u) for u in bad]] for n, bad in result.per_length if bad]
     if args.json:
-        _emit_json(
-            {
-                "C": result.delay,
-                "L_from_C": result.L_from_C,
-                "n_max": result.n_max,
-                "failures": failures,
-                "screened_periodic": result.screened_periodic,
-            },
-            out,
-        )
+        _emit_json(_delay_json(m, result) | {"screened_periodic": result.screened_periodic}, out)
     elif result.delay is not None:
         print(f"C={result.delay} L_from_C={result.L_from_C}", file=out)
     else:
@@ -446,14 +445,12 @@ def _cmd_language(args, out) -> int:
 
 def _cmd_seeds(args, out) -> int:
     m = _load(args.file)
-    seeds = admissible_seeds(m, args.max_power)
-    pairs = [[m.decode(s.left), m.decode(s.right)] for s in seeds]
+    payload = _seeds_json(m, admissible_seeds(m, args.max_power))
     if args.json:
-        _emit_json(
-            {"power": seeds[0].power if seeds else None, "pairs": pairs}, out
-        )
-    elif seeds:
-        print(f"power {seeds[0].power}: " + ", ".join(f"{a}.{b}" for a, b in pairs), file=out)
+        _emit_json(payload, out)
+    elif payload["pairs"]:
+        pairs = ", ".join(f"{a}.{b}" for a, b in payload["pairs"])
+        print(f"power {payload['power']}: {pairs}", file=out)
     else:
         print("no admissible seeds up to the power cap", file=out)
     return 0

@@ -26,6 +26,7 @@ from .morphism import (
     FixedPointSeed,
     Morphism,
     Word,
+    end_letters,
     extreme_lengths,
     image_lengths,
 )
@@ -103,9 +104,6 @@ class CuttingSet:
     positions: tuple[int, ...]
     preimages: tuple[str, ...]
 
-    def as_dict(self) -> dict[int, str]:
-        return dict(zip(self.positions, self.preimages))
-
 
 def _validate_seed(m: Morphism, seed: FixedPointSeed):
     if seed.power < 1:
@@ -113,19 +111,13 @@ def _validate_seed(m: Morphism, seed: FixedPointSeed):
     for letter in (seed.left, seed.right):
         if len(letter) != 1 or ord(letter) >= m.size:
             raise InvalidSeedError("seed letter out of range")
-    last = [ord(im[-1]) for im in m.images]
-    first = [ord(im[0]) for im in m.images]
+    first, last = end_letters(m, seed.power)
     a, b = ord(seed.left), ord(seed.right)
-    x = a
-    y = b
-    for _ in range(seed.power):
-        x = last[x]
-        y = first[y]
-    if x != a:
+    if last[a] != a:
         raise InvalidSeedError(
             f"sigma^{seed.power}({m.letters[a].display}) does not end with it"
         )
-    if y != b:
+    if first[b] != b:
         raise InvalidSeedError(
             f"sigma^{seed.power}({m.letters[b].display}) does not start with it"
         )
@@ -184,11 +176,7 @@ def cut_position(window: Window, i: int, p: int) -> int:
     left one.  The image of this map, restricted to the window, is exactly
     the level-p cutting set.
     """
-    if not 0 <= p <= window.max_level:
-        raise LevelUnavailableError(
-            f"level {p} unavailable (tower holds 0..{window.max_level})"
-        )
-    left, right = window.tower[p]
+    left, right = window.preimage_pair(p)
     lengths = image_lengths(window.morphism, p)
     if i >= 0:
         if i > len(right):
@@ -208,11 +196,7 @@ def cut_position(window: Window, i: int, p: int) -> int:
 def cutting_points(window: Window, p: int) -> CuttingSet:
     """All level-p cuts in [lo, hi) with their preimage letters, read off
     the stored tower."""
-    if not 0 <= p <= window.max_level:
-        raise LevelUnavailableError(
-            f"level {p} unavailable (tower holds 0..{window.max_level})"
-        )
-    left, right = window.tower[p]
+    left, right = window.preimage_pair(p)
     lengths = image_lengths(window.morphism, p)
     positions: list[int] = []
     preimages: list[str] = []

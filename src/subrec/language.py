@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Literal
 
 import numpy as np
@@ -23,7 +22,7 @@ from .errors import (
     NotPrimitiveError,
     WindowCapExceededError,
 )
-from .morphism import Morphism, Word, incidence_matrix, is_primitive
+from .morphism import Morphism, Word, end_letters, per_morphism, require_primitive
 
 DEFAULT_SCAN_LEN = 10_000
 DEFAULT_MAX_K = 64
@@ -94,8 +93,7 @@ class FactorLanguage:
     """
 
     def __init__(self, m: Morphism):
-        if not is_primitive(incidence_matrix(m)).primitive:
-            raise NotPrimitiveError("factor language requires a primitive morphism")
+        require_primitive(m)
         self.morphism = m
         self._slices: dict[int, frozenset[Word]] = {}
         self._closed_at = 0
@@ -146,9 +144,9 @@ class FactorLanguage:
         return word in self.slice(len(word))
 
 
-@lru_cache(maxsize=None)
+@per_morphism
 def language_of(m: Morphism) -> FactorLanguage:
-    """Shared per-morphism factor-language cache."""
+    """The factor language of m, shared by every caller."""
     return FactorLanguage(m)
 
 
@@ -168,13 +166,10 @@ def complexity(m: Morphism, n: int) -> int:
 
 def right_prolongable_letter(m: Morphism) -> tuple[str, int]:
     """A letter b and minimal power e with sigma^e(b) starting with b."""
-    first = [ord(image[0]) for image in m.images]
     for e in range(1, m.size + 1):
-        cur = list(range(m.size))
-        for _ in range(e):
-            cur = [first[i] for i in cur]
+        first_e = end_letters(m, e)[0]
         for i in range(m.size):
-            if cur[i] == i:
+            if first_e[i] == i:
                 return chr(i), e
     raise NotPrimitiveError("no right-prolongable letter found")  # unreachable for #A >= 1
 
@@ -185,6 +180,7 @@ def fixed_point_prefix(m: Morphism, length: int) -> Word:
     For primitive sigma the factor set of this ray equals the two-sided
     language, so it is a valid scan substrate.
     """
+    require_primitive(m)  # otherwise the ray need not grow
     if m.widest == 1:
         return chr(0) * length
     letter, e = right_prolongable_letter(m)
@@ -247,6 +243,7 @@ def return_words(m: Morphism, u: Word, window_cap: int = 1_000_000) -> ReturnWor
     return ReturnWordSet(u, found, completeness, window)
 
 
+@per_morphism
 def aperiodicity_check(m: Morphism, n_max: int = DEFAULT_APERIODICITY_N) -> AperiodicityVerdict:
     """Morse-Hedlund screening: p(n) <= n for some n forces periodicity.
 
@@ -296,6 +293,7 @@ def _max_power_exponent(text: Word) -> int:
     return best
 
 
+@per_morphism
 def power_free_index(
     m: Morphism,
     scan_len: int = DEFAULT_SCAN_LEN,
@@ -316,6 +314,7 @@ def power_free_index(
     return PowerFreeResult("bounded", max_exp + 1, max_exp, scan_len)
 
 
+@per_morphism
 def recurrence_constant_empirical(
     m: Morphism, max_len: int, window_cap: int = 1_000_000
 ) -> RecurrenceEstimate:

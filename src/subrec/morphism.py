@@ -6,16 +6,19 @@ are ``chr(index)``.  Display tokens exist only at the I/O boundary
 All length computations that could blow up go through exact big-integer
 powers of the incidence matrix, never through word expansion.
 
-Every value here is immutable after construction and safe to share
-between threads; all operations are pure functions.
+A :class:`Morphism` is immutable in its fields, and everything derived
+from it (matrix powers, primitivity, the factor language, the bound
+constants) is memoized on the instance by :func:`per_morphism`, so it is
+computed once and freed with the morphism.  The library makes no
+concurrency promise.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 import unicodedata
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import (
     BadParametersError,
@@ -47,7 +50,8 @@ class Morphism:
     """A non-erasing morphism, given by one image word per letter.
 
     ``images[i]`` is the image of letter ``i``; all words are index-encoded
-    strings.  Instances are hashable and compared by value.
+    strings.  Instances are hashable and compared by value; the memo of
+    derived values takes no part in either.
     """
 
     letters: tuple[Letter, ...]
@@ -69,6 +73,15 @@ class Morphism:
                 if ord(ch) >= size:
                     raise InputError(f"image of {displays[i]!r} uses an unknown letter")
 
+    @functools.cached_property
+    def _memo(self) -> dict:
+        """Derived values, filled by :func:`per_morphism`."""
+        return {}
+
+    def __getstate__(self):
+        # pickles and copies carry the fields only and start an empty memo
+        return {"letters": self.letters, "images": self.images}
+
     @property
     def size(self) -> int:
         return len(self.letters)
@@ -82,9 +95,6 @@ class Morphism:
     def narrowest(self) -> int:
         """min |sigma(a)| over letters a."""
         return min(len(w) for w in self.images)
-
-    def letter(self, index: int) -> str:
-        return chr(index)
 
     def apply(self, word: Word) -> Word:
         images = self.images
@@ -253,9 +263,22 @@ def parse_morphism(text: str) -> Morphism:
     return Morphism(letters, images)
 
 
-def apply(m: Morphism, word: Word) -> Word:
-    """Image of a word: concatenation of letter images (monoid homomorphism)."""
-    return m.apply(word)
+def per_morphism(fn):
+    """Memoize ``fn(m, *args)`` on the morphism ``m``.
+
+    Values are keyed by the arguments as given and live exactly as long
+    as ``m``.  Exceptions are not stored, so a refused call is refused
+    again."""
+
+    @functools.wraps(fn)
+    def memoized(m: Morphism, *args, **kwargs):
+        key = (fn, args, tuple(sorted(kwargs.items())))
+        memo = m._memo
+        if key not in memo:
+            memo[key] = fn(m, *args, **kwargs)
+        return memo[key]
+
+    return memoized
 
 
 def incidence_matrix(m: Morphism) -> IncidenceMatrix:
@@ -267,20 +290,22 @@ def incidence_matrix(m: Morphism) -> IncidenceMatrix:
     return IncidenceMatrix(tuple(tuple(row) for row in rows))
 
 
-@lru_cache(maxsize=None)
-def _matrix_power_cached(m: Morphism, n: int) -> IncidenceMatrix:
-    return incidence_matrix(m).power(n)
-
-
+@per_morphism
 def image_lengths(m: Morphism, n: int) -> tuple[int, ...]:
     """|sigma^n(a)| for every letter a, via matrix powers (exact)."""
-    return _matrix_power_cached(m, n).column_sums()
+    return incidence_matrix(m).power(n).column_sums()
 
 
 def extreme_lengths(m: Morphism, n: int) -> tuple[int, int]:
     """(|sigma^n|, <sigma^n>): widest and narrowest image lengths of sigma^n."""
     sums = image_lengths(m, n)
     return max(sums), min(sums)
+
+
+def _expand(m: Morphism, word: Word, n: int) -> Word:
+    for _ in range(n):
+        word = m.apply(word)
+    return word
 
 
 def iterate(m: Morphism, letter: str, n: int, cap: int) -> Word:
@@ -294,40 +319,29 @@ def iterate(m: Morphism, letter: str, n: int, cap: int) -> Word:
     predicted = image_lengths(m, n)[ord(letter)]
     if predicted > cap:
         raise SizeExceededError(predicted, cap)
-    word = letter
-    for _ in range(n):
-        word = m.apply(word)
-    return word
+    return _expand(m, letter, n)
 
 
 def power(m: Morphism, n: int) -> Morphism:
     """The morphism sigma^n over the same alphabet (n >= 1)."""
     if n < 1:
         raise BadParametersError("power must be >= 1")
-    images = []
-    for i in range(m.size):
-        word = chr(i)
-        for _ in range(n):
-            word = m.apply(word)
-        images.append(word)
-    return Morphism(m.letters, tuple(images))
+    return Morphism(m.letters, tuple(_expand(m, chr(i), n) for i in range(m.size)))
 
 
 def wielandt_bound(dim: int) -> int:
     return dim * dim - 2 * dim + 2
 
 
-def is_primitive(matrix) -> PrimitivityResult:
+def is_primitive(matrix: IncidenceMatrix) -> PrimitivityResult:
     """Primitivity test with the smallest positivity witness.
 
-    Accepts an IncidenceMatrix or a plain sequence of rows.  Only the
-    positivity pattern matters, so powers are taken over booleans; the
-    verdict is conclusive either way because a primitive d x d matrix
-    must have M^k > 0 for some k <= d^2 - 2d + 2.
+    Only the positivity pattern matters, so powers are taken over
+    booleans; the verdict is conclusive either way because a primitive
+    d x d matrix must have M^k > 0 for some k <= d^2 - 2d + 2.
     """
-    rows = matrix.rows if isinstance(matrix, IncidenceMatrix) else tuple(matrix)
-    dim = len(rows)
-    pattern = [[bool(entry) for entry in row] for row in rows]
+    dim = matrix.dim
+    pattern = [[bool(entry) for entry in row] for row in matrix.rows]
     current = pattern
     for k in range(1, wielandt_bound(dim) + 1):
         if k > 1:
@@ -340,11 +354,26 @@ def is_primitive(matrix) -> PrimitivityResult:
     return PrimitivityResult(False, None)
 
 
-def _letter_map_power(mapping: list[int], e: int) -> list[int]:
-    result = list(range(len(mapping)))
+@per_morphism
+def primitivity(m: Morphism) -> PrimitivityResult:
+    """The primitivity verdict of the incidence matrix of m."""
+    return is_primitive(incidence_matrix(m))
+
+
+def require_primitive(m: Morphism):
+    """The guard of every computation that needs a primitive morphism."""
+    if not primitivity(m).primitive:
+        raise NotPrimitiveError("the morphism is not primitive")
+
+
+def end_letters(m: Morphism, e: int) -> tuple[list[int], list[int]]:
+    """(first, last): first[i] and last[i] are the indices of the first
+    and the last letter of sigma^e(i)."""
+    first, last = list(range(m.size)), list(range(m.size))
     for _ in range(e):
-        result = [mapping[i] for i in result]
-    return result
+        first = [ord(m.images[i][0]) for i in first]
+        last = [ord(m.images[i][-1]) for i in last]
+    return first, last
 
 
 def default_seed_power_cap(m: Morphism) -> int:
@@ -360,8 +389,7 @@ def admissible_seeds(m: Morphism, max_power: int | None = None) -> list[FixedPoi
     with b, and ab to occur in the language.  Returns [] when no power up
     to the cap works (callers should surface that as a warning).
     """
-    if not is_primitive(incidence_matrix(m)).primitive:
-        raise NotPrimitiveError("admissible seeds require a primitive morphism")
+    require_primitive(m)
     if max_power is None:
         max_power = default_seed_power_cap(m)
     if max_power < 1:
@@ -372,11 +400,8 @@ def admissible_seeds(m: Morphism, max_power: int | None = None) -> list[FixedPoi
     from .language import factor_language  # deferred: language builds on this module
 
     pairs = factor_language(m, 2).words if m.size > 1 else {chr(0) * 2}
-    first = [ord(image[0]) for image in m.images]
-    last = [ord(image[-1]) for image in m.images]
     for e in range(1, max_power + 1):
-        first_e = _letter_map_power(first, e)
-        last_e = _letter_map_power(last, e)
+        first_e, last_e = end_letters(m, e)
         lefts = [i for i in range(m.size) if last_e[i] == i]
         rights = [i for i in range(m.size) if first_e[i] == i]
         seeds = [

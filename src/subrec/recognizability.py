@@ -22,7 +22,6 @@ from .errors import (
     InputError,
     NotAFactorError,
     NotAperiodicError,
-    NotPrimitiveError,
     WindowTooSmallError,
 )
 from .fixedpoint import Window, cutting_points
@@ -36,11 +35,13 @@ from .morphism import (
     Morphism,
     Word,
     extreme_lengths,
-    incidence_matrix,
-    is_primitive,
+    image_lengths,
+    per_morphism,
+    primitivity,
+    require_primitive,
 )
 
-DEFAULT_EXACT_CAP = 10**6  # decimal digits; SUBREC_EXACT_CAP overrides via CLI
+DEFAULT_EXACT_CAP = 10**6  # decimal digits; the SUBREC_EXACT_CAP environment variable overrides
 
 
 def exact_digit_cap() -> int:
@@ -77,8 +78,6 @@ def _image_letters(m: Morphism, letter: str, n: int) -> Iterator[str]:
 
 
 def _images_equal(m: Morphism, a: str, b: str, n: int) -> bool:
-    from .morphism import image_lengths
-
     if a == b:
         return True
     if image_lengths(m, n)[ord(a)] != image_lengths(m, n)[ord(b)]:
@@ -99,6 +98,7 @@ def _kernel_partition(m: Morphism, n: int) -> tuple[tuple[str, ...], ...]:
     return tuple(tuple(cls) for cls in classes)
 
 
+@per_morphism
 def injectivity_exponent(m: Morphism) -> KernelChain:
     """Kernel chain of sigma^n on letters, with image lengths compared via
     matrix powers before any materialization.
@@ -244,8 +244,6 @@ def synchronizing_delay(
     """
     if n_max < 1:
         raise BadParametersError("n_max must be >= 1")
-    if not is_primitive(incidence_matrix(m)).primitive:
-        raise NotPrimitiveError("synchronizing delay requires a primitive morphism")
     if aperiodicity_check(m).periodic:
         return SyncResult(None, n_max, (), None, screened_periodic=True)
     lang = language_of(m)
@@ -423,10 +421,10 @@ class BoundBreakdown:
     warnings: tuple[str, ...]
 
 
+@per_morphism
 def certified_constants(m: Morphism) -> CertifiedConstants:
     """Exact big-integer certificates from matrix powers alone."""
-    if not is_primitive(incidence_matrix(m)).primitive:
-        raise NotPrimitiveError("certified constants require a primitive morphism")
+    require_primitive(m)
     a2 = m.size * m.size
     n_cert = extreme_lengths(m, a2)[0]
     rret = 2 * extreme_lengths(m, 2 * a2)[0]
@@ -434,6 +432,7 @@ def certified_constants(m: Morphism) -> CertifiedConstants:
     return CertifiedConstants(n_cert, rret, k_big, k_big + 1)
 
 
+@per_morphism
 def exact_ratio_constant(m: Morphism) -> tuple[int, tuple[str, ...]]:
     """Smallest N certified to satisfy |sigma^n| <= N <sigma^n> for all n.
 
@@ -442,16 +441,14 @@ def exact_ratio_constant(m: Morphism) -> tuple[int, tuple[str, ...]]:
     r(n) <= |sigma^t| r(n-t) / (r(n-t) + <sigma^t> - 1) keeps any bound
     B >= |sigma^t| - <sigma^t> + 1 invariant.  The result is the sampled
     maximum, escalated to the best stride bound when necessary."""
-    verdict = is_primitive(incidence_matrix(m))
-    if not verdict.primitive:
-        raise NotPrimitiveError("ratio constant requires a primitive morphism")
+    require_primitive(m)
     span = 4 * m.size * m.size
     sampled = Fraction(1)
     for n in range(1, span + 1):
         widest, narrowest = extreme_lengths(m, n)
         sampled = max(sampled, Fraction(widest, narrowest))
     stride_bounds = []
-    for t in range(verdict.witness, span + 1):
+    for t in range(primitivity(m).witness, span + 1):
         widest, narrowest = extreme_lengths(m, t)
         stride_bounds.append(widest - narrowest + 1)
     sampled_int = -(-sampled.numerator // sampled.denominator)
@@ -496,8 +493,6 @@ def recognizability_bound(
     returned in logarithmic form, labeled approximate."""
     if exact_cap is None:
         exact_cap = exact_digit_cap()
-    if not is_primitive(incidence_matrix(m)).primitive:
-        raise NotPrimitiveError("the bound requires a primitive morphism")
     screening = aperiodicity_check(m)
     if screening.periodic:
         raise NotAperiodicError(
@@ -576,8 +571,7 @@ def closed_form_bound(
     addend power drop to 1."""
     if exact_cap is None:
         exact_cap = exact_digit_cap()
-    if not is_primitive(incidence_matrix(m)).primitive:
-        raise NotPrimitiveError("the bound requires a primitive morphism")
+    require_primitive(m)
     base = m.widest
     size = m.size
     tower = base ** (28 * size * size)

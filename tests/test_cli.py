@@ -1,10 +1,11 @@
 import io
 import json
+from pathlib import Path
 
 import pytest
 
 from subrec.cli import analyze, emit_report, report_from_json, run
-from subrec import recognizability_bound
+from subrec import parse_morphism, recognizability_bound, zoo
 
 FIB_TEXT = "a -> a b\nb -> a\n"
 TM_TEXT = "a -> a b\nb -> b a\n"
@@ -47,6 +48,14 @@ class TestExitCodes:
         code, _, err = invoke(["analyze", "does-not-exist.morph"])
         assert code == 2
         assert err.strip()
+
+    def test_not_utf8_file(self, tmp_path):
+        path = tmp_path / "bad.morph"
+        path.write_bytes(b"\xff\xfe")
+        code, out, err = invoke(["analyze", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("subrec: ") and "UTF-8" in err
 
     def test_malformed_file(self, morph_file):
         code, _, err = invoke(["analyze", morph_file("bad.morph", "a -> a c\n")])
@@ -192,6 +201,27 @@ class TestAnalyzeReport:
         data = json.loads(out)
         assert data["empirical"]["L_lower"] == 1
         assert data["empirical"]["radius"] == 500
+
+
+GOLDEN_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
+GOLDEN = {
+    "fibonacci": zoo.FIBONACCI,
+    "thue_morse": zoo.THUE_MORSE,
+    "tribonacci": zoo.TRIBONACCI,
+    "collapsing": zoo.COLLAPSING,
+    "periodic": zoo.PERIODIC,
+    "aab_bca_cab": parse_morphism("a -> a a b\nb -> b c a\nc -> c a b"),
+}
+
+
+class TestGoldenReports:
+    """``analyze --json`` output must not drift: the recorded reports are
+    compared byte for byte (the CLI adds the final newline)."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_byte_identical(self, name):
+        golden = (GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8")
+        assert emit_report(analyze(GOLDEN[name]), as_json=True) + "\n" == golden
 
 
 class TestExactCapEnvironment:

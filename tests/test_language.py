@@ -197,6 +197,11 @@ class TestRecurrenceConstant:
 
 
 class TestFixedPointPrefix:
+    def test_requires_primitive(self):
+        # the ray of a never grows: without the guard this would not return
+        with pytest.raises(NotPrimitiveError):
+            fixed_point_prefix(parse_morphism("a -> a\nb -> a b"), 10)
+
     def test_is_prefix_closed(self, fib):
         short = fixed_point_prefix(fib, 100)
         long = fixed_point_prefix(fib, 400)

@@ -1,0 +1,69 @@
+"""Per-morphism memo: derived values live on the morphism, are computed
+once per analysis, and are freed with it."""
+
+import copy
+import cProfile
+import gc
+import pickle
+import weakref
+
+from subrec import (
+    aperiodicity_check,
+    certified_constants,
+    complexity,
+    image_lengths,
+    language_of,
+    parse_morphism,
+    zoo,
+)
+from subrec.cli import analyze
+from subrec.language import _max_power_exponent
+
+FIB_TEXT = "a -> a b\nb -> a"
+AAB_TEXT = "a -> a a b\nb -> b c a\nc -> c a b"
+
+
+def test_memo_outside_equality_hash_and_repr():
+    m = parse_morphism(FIB_TEXT)
+    before = repr(m)
+    language_of(m).ensure(8)
+    image_lengths(m, 20)
+    assert m == zoo.FIBONACCI and hash(m) == hash(zoo.FIBONACCI)
+    assert repr(m) == before
+
+
+def test_values_shared_per_instance_not_per_value():
+    m, twin = parse_morphism(FIB_TEXT), parse_morphism(FIB_TEXT)
+    assert language_of(m) is language_of(m)
+    assert aperiodicity_check(m) is aperiodicity_check(m)
+    assert language_of(m) is not language_of(twin)
+
+
+def test_pickle_and_copy_carry_fields_only():
+    m = parse_morphism(FIB_TEXT)
+    complexity(m, 8)
+    for twin in (pickle.loads(pickle.dumps(m)), copy.copy(m), copy.deepcopy(m)):
+        assert twin == m
+        assert language_of(twin) is not language_of(m)
+        assert complexity(twin, 8) == complexity(m, 8)
+
+
+def test_morphism_and_language_are_freed():
+    m = parse_morphism(AAB_TEXT)
+    lang = language_of(m)
+    complexity(m, 12)
+    aperiodicity_check(m)
+    certified_constants(m)
+    refs = [weakref.ref(m), weakref.ref(lang)]
+    del m, lang
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+
+
+def test_one_analysis_runs_each_body_once():
+    m = parse_morphism(AAB_TEXT)  # fresh instance: empty memo
+    profile = cProfile.Profile()
+    profile.runcall(analyze, m)
+    counts = {entry.code: entry.callcount for entry in profile.getstats()}
+    assert counts.get(_max_power_exponent.__code__) == 1
+    assert counts.get(certified_constants.__wrapped__.__code__) == 1

@@ -3,7 +3,6 @@ from hypothesis import given, strategies as st
 
 from subrec import (
     admissible_seeds,
-    apply,
     extreme_lengths,
     image_lengths,
     incidence_matrix,
@@ -81,13 +80,13 @@ class TestParsing:
 
 class TestApply:
     def test_fib_ab(self, fib):
-        assert fib.decode(apply(fib, fib.encode("ab"))) == "aba"
+        assert fib.decode(fib.apply(fib.encode("ab"))) == "aba"
 
     def test_empty_word(self, fib):
-        assert apply(fib, "") == ""
+        assert fib.apply("") == ""
 
     def test_tm_ba(self, tm):
-        assert tm.decode(apply(tm, tm.encode("ba"))) == "baab"
+        assert tm.decode(tm.apply(tm.encode("ba"))) == "baab"
 
     @given(st.data())
     def test_homomorphism(self, data):
