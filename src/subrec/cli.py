@@ -259,7 +259,8 @@ def analyze(
 
     empirical = None
     if seeds:
-        window = build_window(m, seeds[0], radius)
+        # Level 1 and one letter past |sigma| on each side: enough for L = 0.
+        window = build_window(m, seeds[0], max(radius, m.widest + 1), min_level=1)
         result = minimal_constant_empirical(window, 1, DEFAULT_L_MAX)
         empirical = {
             "L_lower": result.certified_lower,
@@ -269,7 +270,7 @@ def analyze(
         }
         if result.heuristic is None:
             warnings.append(
-                f"no recognizability constant up to L={DEFAULT_L_MAX} on the window"
+                f"no recognizability constant up to L={result.L_max} on the window"
             )
         else:
             warnings.append("heuristic constant is window-relative")

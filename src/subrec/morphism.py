@@ -179,9 +179,6 @@ class IncidenceMatrix:
     def column_sums(self) -> tuple[int, ...]:
         return tuple(sum(col) for col in zip(*self.rows))
 
-    def is_positive(self) -> bool:
-        return all(entry > 0 for row in self.rows for entry in row)
-
 
 def identity_matrix(dim: int) -> IncidenceMatrix:
     return IncidenceMatrix(tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim)))

@@ -297,72 +297,77 @@ class EmpiricalConstant:
 
 
 def verify_constant(window: Window, L: int, p: int) -> VerifyResult:
-    """Check the recognizability property for constant L at level p.
+    """Check the recognizability property for constant L at level p: a
+    position sharing its (2L+1)-letter context with a cut must be a cut
+    carrying the same preimage letter.  Counterexamples are globally valid;
+    "ok" only says the window exhibited no conflict.
 
-    Every position is bucketed by its (2L+1)-letter context; a bucket
-    containing a cut must contain only cuts carrying the same preimage
-    letter.  Counterexamples are globally valid; "ok" only says the window
-    exhibited no conflict.  Ties: smallest |m|, then smallest preimage |i|.
+    Cost: one pass over the span keeps, per context and preimage letter, the
+    nearest cut (smallest |i|, then smallest position); then one table
+    lookup per position pairs a non-cut with the nearest cut of any letter
+    and a cut with the nearest cut of another letter.  Ties: smallest |m|,
+    then |i|, then the context met first in the window, then a non-cut
+    before a cut, then the position m.
     """
     if L < 0:
         raise BadParametersError("L must be >= 0")
     cuts = cutting_points(window, p)
-    widest_p = extreme_lengths(window.morphism, p)[0]
-    lo, hi = window.lo, window.hi
-    span_lo, span_hi = lo + L, hi - 1 - L
-    if span_hi - span_lo < 2 * widest_p:
+    if L > _largest_constant(window, p):
         raise WindowTooSmallError(
-            f"window [{lo},{hi}) too small for L={L} at level {p}"
+            f"window [{window.lo},{window.hi}) too small for L={L} at level {p}"
         )
-    content = window.content
-    buckets: dict[Word, list[int]] = {}
-    for pos in range(span_lo, span_hi + 1):
-        idx = pos - lo
-        buckets.setdefault(content[idx - L : idx + L + 1], []).append(pos)
-
     junction_ordinal = len(window.tower[p][0])
     cut_info: dict[int, tuple[int, str]] = {}
     for ordinal, (pos, letter) in enumerate(zip(cuts.positions, cuts.preimages)):
         cut_info[pos] = (ordinal - junction_ordinal, letter)
+    content, lo = window.content, window.lo
+    span = range(lo + L, window.hi - L)
 
-    best: tuple[int, int, Counterexample] | None = None
-    for members in buckets.values():
-        tagged = [(pos, cut_info.get(pos)) for pos in members]
-        cut_members = [(pos, info) for pos, info in tagged if info is not None]
-        if not cut_members:
+    # context -> (rank of its first occurrence, {letter: (|i|, cut, i)})
+    table: dict[Word, tuple[int, dict[str, tuple[int, int, int]]]] = {}
+    for pos in span:
+        idx = pos - lo
+        _, nearest = table.setdefault(content[idx - L : idx + L + 1], (len(table), {}))
+        info = cut_info.get(pos)
+        if info is not None:
+            i, letter = info
+            if letter not in nearest or abs(i) < nearest[letter][0]:
+                nearest[letter] = (abs(i), pos, i)
+
+    best: tuple[tuple[int, int, int, bool, int], Counterexample] | None = None
+    for pos in span:
+        idx = pos - lo
+        rank, nearest = table[content[idx - L : idx + L + 1]]
+        info = cut_info.get(pos)
+        own = None if info is None else info[1]
+        rivals = [cut for letter, cut in nearest.items() if letter != own]
+        if not rivals:
             continue
-        non_cuts = [pos for pos, info in tagged if info is None]
-        preimages = {info[1] for _, info in cut_members}
-        if not non_cuts and len(preimages) == 1:
-            continue
-        for m_pos in non_cuts:
-            c_pos, (i, _) = min(cut_members, key=lambda cm: abs(cm[1][0]))
-            cand = Counterexample(i, c_pos, m_pos, "not_a_cut")
-            key = (abs(m_pos), abs(i))
-            if best is None or key < (best[0], best[1]):
-                best = (key[0], key[1], cand)
-        if len(preimages) > 1:
-            for m_pos, m_info in cut_members:
-                conflicting = [cm for cm in cut_members if cm[1][1] != m_info[1]]
-                if not conflicting:
-                    continue
-                c_pos, (i, _) = min(conflicting, key=lambda cm: abs(cm[1][0]))
-                cand = Counterexample(i, c_pos, m_pos, "preimage_mismatch")
-                key = (abs(m_pos), abs(i))
-                if best is None or key < (best[0], best[1]):
-                    best = (key[0], key[1], cand)
+        abs_i, c_pos, i = min(rivals)
+        key = (abs(pos), abs_i, rank, info is not None, pos)
+        if best is None or key < best[0]:
+            kind = "not_a_cut" if info is None else "preimage_mismatch"
+            best = (key, Counterexample(i, c_pos, pos, kind))
     if best is None:
         return VerifyResult(True, L, p)
-    return VerifyResult(False, L, p, best[2])
+    return VerifyResult(False, L, p, best[1])
+
+
+def _largest_constant(window: Window, p: int) -> int:
+    """Largest L whose span of centres still covers two level-p images."""
+    widest_p = extreme_lengths(window.morphism, p)[0]
+    return (window.hi - window.lo - 1 - 2 * widest_p) // 2
 
 
 def minimal_constant_empirical(window: Window, p: int, L_max: int) -> EmpiricalConstant:
-    """Ascending scan of verify_constant over L = 0..L_max.
+    """Ascending scan of verify_constant over L = 0..L_max, stopped at the
+    largest L the window can check (the result's L_max); L = 0 always runs.
 
     Window-relative "ok" is monotone in L (a longer context only refines
-    the buckets), so the first passing L is the heuristic minimum."""
+    the partition), so the first passing L is the heuristic minimum."""
     if L_max < 0:
         raise BadParametersError("L_max must be >= 0")
+    L_max = max(0, min(L_max, _largest_constant(window, p)))
     last: Counterexample | None = None
     for L in range(L_max + 1):
         result = verify_constant(window, L, p)
@@ -479,7 +484,6 @@ def recognizability_bound(
     m: Morphism,
     mode: Literal["empirical_exact", "certified"],
     safe_d: bool = False,
-    exact_cap: int | None = None,
 ) -> BoundBreakdown:
     """Evaluate the recognizability bound R |sigma^(dQ)| + |sigma^d| with
 
@@ -491,8 +495,7 @@ def recognizability_bound(
     alphabet-and-width certificates, with p(i) replaced by its certified
     ceiling K*i.  Values whose exact form would exceed the digit cap are
     returned in logarithmic form, labeled approximate."""
-    if exact_cap is None:
-        exact_cap = exact_digit_cap()
+    exact_cap = exact_digit_cap()
     screening = aperiodicity_check(m)
     if screening.periodic:
         raise NotAperiodicError(
@@ -563,14 +566,11 @@ class ClosedFormBound:
     value: BigValue
 
 
-def closed_form_bound(
-    m: Morphism, injective_hint: bool = False, exact_cap: int | None = None
-) -> ClosedFormBound:
+def closed_form_bound(m: Morphism, injective_hint: bool = False) -> ClosedFormBound:
     """Alphabet-and-width-only bound 2|sigma|^(6(#A)^2 + 6(#A)|sigma|^(28(#A)^2))
     + |sigma|^(#A); with the injectivity hint the inner factor #A and the
     addend power drop to 1."""
-    if exact_cap is None:
-        exact_cap = exact_digit_cap()
+    exact_cap = exact_digit_cap()
     require_primitive(m)
     base = m.widest
     size = m.size

@@ -14,6 +14,7 @@ TM_RULES = {"a": "ab", "b": "ba"}
 TRIB_RULES = {"a": "ab", "b": "ac", "c": "a"}
 COLL_RULES = {"a": "bc", "b": "bc", "c": "ab"}
 PER_RULES = {"a": "ab", "b": "ab"}
+MIXED_RULES = {"a": "aab", "b": "bca", "c": "cab"}
 
 
 def expand(rules: dict[str, str], word: str, times: int = 1) -> str:
@@ -148,6 +149,46 @@ def check_counterexample(window: OracleWindow, L: int, p: int, cut_pos: int, m_p
     )
     violates = m_pos not in cuts or cuts[m_pos] != cuts[cut_pos]
     return same_context and violates
+
+
+def verify_reference(window: OracleWindow, L: int, p: int) -> tuple[int, int, int, str] | None:
+    """The window verifier by explicit context buckets, as a differential
+    reference: every position in [lo+L, hi-L) is grouped with the others
+    sharing its (2L+1)-letter context, and each member of a bucket holding
+    a cut is compared with every cut of the bucket.
+
+    Returns None when no bucket conflicts, else (i, cut, m, kind) with the
+    least (|m|, |i|); ties go to the bucket first met in the window, then
+    non-cuts before cuts, then the position.  i is the rank of the cut
+    minus the number of cuts at negative positions."""
+    cuts = sorted(window.cuts(p).items())
+    below = sum(1 for pos, _ in cuts if pos < 0)
+    cut_info = {pos: (rank - below, ch) for rank, (pos, ch) in enumerate(cuts)}
+    buckets: dict[str, list[int]] = {}
+    for pos in range(window.lo + L, window.hi - L):
+        buckets.setdefault(window.segment(pos - L, pos + L + 1), []).append(pos)
+
+    best = None
+    for members in buckets.values():
+        tagged = [(pos, cut_info.get(pos)) for pos in members]
+        cut_members = [(pos, info) for pos, info in tagged if info is not None]
+        if not cut_members:
+            continue
+        non_cuts = [pos for pos, info in tagged if info is None]
+        preimages = {info[1] for _, info in cut_members}
+        candidates = []
+        for m_pos in non_cuts:
+            c_pos, (i, _) = min(cut_members, key=lambda cm: abs(cm[1][0]))
+            candidates.append((i, c_pos, m_pos, "not_a_cut"))
+        if len(preimages) > 1:
+            for m_pos, m_info in cut_members:
+                conflicting = [cm for cm in cut_members if cm[1][1] != m_info[1]]
+                c_pos, (i, _) = min(conflicting, key=lambda cm: abs(cm[1][0]))
+                candidates.append((i, c_pos, m_pos, "preimage_mismatch"))
+        for cand in candidates:
+            if best is None or (abs(cand[2]), abs(cand[0])) < (abs(best[2]), abs(best[0])):
+                best = cand
+    return best
 
 
 def tight_interpretations_brute(

@@ -224,6 +224,30 @@ class TestGoldenReports:
         assert emit_report(analyze(GOLDEN[name]), as_json=True) + "\n" == golden
 
 
+class TestSmallRadius:
+    """The window is grown to level 1 and past |sigma|, and the L scan
+    stops at the largest L it can check, so no radius is too small."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_radii_1_to_16(self, name):
+        for radius in range(1, 17):
+            data = json.loads(emit_report(analyze(GOLDEN[name], radius=radius), as_json=True))
+            empirical = data["empirical"]
+            assert empirical["radius"] == radius
+            if empirical["L_heuristic"] is None:
+                last = empirical["L_lower"] - 1
+                assert f"no recognizability constant up to L={last} on the window" in data["warnings"]
+            else:
+                assert "heuristic constant is window-relative" in data["warnings"]
+
+    def test_cli_exit_code(self, morph_file):
+        code, out, _ = invoke(
+            ["analyze", morph_file("per.morph", PER_TEXT), "--json", "--radius", "2"]
+        )
+        assert code == 0
+        assert json.loads(out)["empirical"]["L_heuristic"] is None
+
+
 class TestExactCapEnvironment:
     def test_cap_forces_log_form(self, fib, monkeypatch):
         monkeypatch.setenv("SUBREC_EXACT_CAP", "100")

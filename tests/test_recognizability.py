@@ -3,6 +3,8 @@ import math
 import pytest
 
 from subrec import (
+    Counterexample,
+    VerifyResult,
     admissible_seeds,
     build_window,
     certified_constants,
@@ -31,6 +33,8 @@ from subrec.morphism import parse_morphism
 from oracles import (
     COLL_RULES,
     FIB_RULES,
+    MIXED_RULES,
+    PER_RULES,
     TM_RULES,
     TRIB_RULES,
     OracleWindow,
@@ -38,6 +42,7 @@ from oracles import (
     distinct_factors,
     prefix,
     tight_interpretations_brute,
+    verify_reference,
 )
 
 RULED = [
@@ -46,6 +51,7 @@ RULED = [
     (zoo.TRIBONACCI, TRIB_RULES),
     (zoo.COLLAPSING, COLL_RULES),
 ]
+MIXED = parse_morphism("a -> a a b\nb -> b c a\nc -> c a b")
 
 
 def window_of(m, radius=1000, min_level=4):
@@ -209,6 +215,34 @@ class TestVerifyConstant:
         w = window_of(per)
         ce = verify_constant(w, 3, 1).counterexample
         assert abs(ce.position) <= 2
+
+    @pytest.mark.parametrize(
+        "m, rules",
+        RULED + [(zoo.PERIODIC, PER_RULES), (MIXED, MIXED_RULES)],
+        ids=["fib", "tm", "trib", "coll", "per", "mixed"],
+    )
+    def test_matches_bucket_reference(self, m, rules):
+        seed = admissible_seeds(m)[0]
+        w = build_window(m, seed, 300, min_level=3)
+        oracle = OracleWindow(
+            rules, m.decode(seed.left), m.decode(seed.right), seed.power, w.level
+        )
+        for p in (1, 2, 3):
+            for L in (0, 1, 2, 3, 4, 6, 8):
+                ref = verify_reference(oracle, L, p)
+                expected = VerifyResult(
+                    ref is None, L, p, None if ref is None else Counterexample(*ref)
+                )
+                assert verify_constant(w, L, p) == expected
+
+    def test_tie_break_context_order_tm(self, tm):
+        # (|m|, |i|) ties between m = 4 and m = -4; the context met first wins
+        ce = verify_constant(window_of(tm), 3, 3).counterexample
+        assert ce == Counterexample(2, 16, 4, "not_a_cut")
+
+    def test_tie_break_context_order_mixed(self):
+        ce = verify_constant(window_of(MIXED), 2, 2).counterexample
+        assert ce == Counterexample(3, 27, 3, "not_a_cut")
 
 
 class TestMinimalConstant:
