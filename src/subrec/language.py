@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal
 
-import numpy as np
-
 from .errors import (
     BadParametersError,
     NotAFactorError,
@@ -253,43 +251,41 @@ def aperiodicity_check(m: Morphism, n_max: int = DEFAULT_APERIODICITY_N) -> Aper
     not a proof.
     """
     lang = language_of(m)
-    # a periodic word stabilizes early, so probe cheap prefixes before
-    # paying for the closure at n_max
-    for probe in (8, 32, n_max):
-        lang.ensure(min(probe, n_max))
-        for n in range(1, min(probe, n_max) + 1):
-            p = lang.complexity(n)
-            if p <= n:
-                return AperiodicityVerdict("periodic", p, n_max)
-        if probe >= n_max:
-            break
+    lang.ensure(n_max)
+    for n in range(1, n_max + 1):
+        p = lang.complexity(n)
+        if p <= n:
+            return AperiodicityVerdict("periodic", p, n_max)
     return AperiodicityVerdict("aperiodic_upto", None, n_max)
 
 
 def _max_power_exponent(text: Word) -> int:
     """Largest k such that some u^k (u non-empty) occurs in text.
 
-    For each candidate period p, the longest run where text agrees with
-    its own p-shift gives the maximal exponent floor(run/p) + 1.
+    A run of r consecutive positions i with text[i] == text[i+p] spells a
+    power of period p and exponent floor(r/p) + 1.  Each letter becomes a
+    fixed-width big-endian byte code; XOR-ing the codes with their p-shift
+    zeroes exactly the codes of those positions, and OR-folding each code
+    into its last byte leaves one mark byte per position, zero where the
+    letters agree.  Only a run of best*p zero marks can raise the maximum
+    found so far, so one bytes.find per improvement settles a period, and
+    periods stop once a (best+1)-th power no longer fits:
+    (best+1)*p > len(text).
     """
-    n = len(text)
-    if n < 2:
-        return 1
-    try:
-        arr = np.frombuffer(text.encode("latin-1"), dtype=np.uint8)
-    except UnicodeEncodeError:
-        arr = np.fromiter(map(ord, text), dtype=np.uint32, count=n)
-    best = 1
-    for p in range(1, n // 2 + 1):
-        eq = arr[p:] == arr[:-p]
-        if not eq.any():
-            continue
-        padded = np.concatenate(([False], eq, [False]))
-        edges = np.flatnonzero(padded[1:] != padded[:-1])
-        run = int((edges[1::2] - edges[0::2]).max())
-        exponent = run // p + 1
-        if exponent > best:
-            best = exponent
+    width = max(1, (ord(max(text, default="\0")).bit_length() + 7) // 8)
+    codes = b"".join(ord(c).to_bytes(width, "big") for c in text)
+    best, p = 1, 1
+    while (best + 1) * p <= len(text):
+        span = len(codes) - p * width
+        diff = int.from_bytes(codes[:span], "big") ^ int.from_bytes(codes[p * width :], "big")
+        for _ in range(width - 1):
+            diff |= diff >> 8
+        marks = diff.to_bytes(span, "big")[width - 1 :: width]
+        hit = marks.find(bytes(best * p))
+        while hit != -1:
+            best += 1
+            hit = marks.find(bytes(best * p), hit)
+        p += 1
     return best
 
 
@@ -299,10 +295,11 @@ def power_free_index(
     scan_len: int = DEFAULT_SCAN_LEN,
     max_k: int = DEFAULT_MAX_K,
 ) -> PowerFreeResult:
-    """Smallest k such that no k-th power occurs, from an exhaustive scan.
+    """Smallest k such that no k-th power occurs in the first scan_len
+    letters of the fixed point.
 
-    The window is long enough that, by linear recurrence, any u^k with
-    |u| <= scan_len/(2k) would show up in it; periodic fixed points are
+    This is a screen, not a proof: a longer prefix can hold a higher
+    power, so k may grow with scan_len.  Periodic fixed points are
     screened out first and reported as "unbounded".
     """
     if aperiodicity_check(m).periodic:

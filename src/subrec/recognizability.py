@@ -600,19 +600,15 @@ def _least_divisor(k: int) -> int:
     return k
 
 
-def klouda_medkova_bound(k: int, least_divisor: int | None = None) -> int:
+def klouda_medkova_bound(k: int) -> int:
     """Synchronizing-delay bound for k-uniform morphisms on two letters:
     8 when k = 2; k^2 + 3k - 4 when k is an odd prime;
     k^2 (k/d - 1) + 5k - 4 otherwise, d the least divisor of k above 1."""
     if k < 2:
         raise BadParametersError("k must be >= 2")
-    expected = _least_divisor(k)
-    if least_divisor is not None and least_divisor != expected:
-        raise BadParametersError(
-            f"{least_divisor} is not the least divisor of {k} greater than 1"
-        )
+    d = _least_divisor(k)
     if k == 2:
         return 8
-    if k % 2 == 1 and expected == k:
+    if k % 2 == 1 and d == k:
         return k * k + 3 * k - 4
-    return k * k * (k // expected - 1) + 5 * k - 4
+    return k * k * (k // d - 1) + 5 * k - 4

@@ -103,7 +103,7 @@ def test_04_klouda_medkova_cross_check():
         assert result.delay is not None and result.delay <= 8
         assert klouda_medkova_bound(2) == 8
         assert klouda_medkova_bound(3) == 14
-        assert klouda_medkova_bound(4, 2) == 32
+        assert klouda_medkova_bound(4) == 32
 
 
 def test_05_fibonacci_empirical_constant():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from subrec import (
 )
 from subrec import certified_constants, zoo
 from subrec.errors import NotAFactorError, NotPrimitiveError, WindowCapExceededError
+from subrec.language import _max_power_exponent
 from subrec.morphism import parse_morphism
 
 from oracles import (
@@ -160,6 +162,19 @@ class TestPowerFreeIndex:
             window = prefix(rules, 1200)
             brute = max_power_exponent_brute(window, 60)
             assert power_free_index(m, scan_len=1200).k == brute + 1
+
+    # largest letters needing one, two and three bytes, chr(300) and up among them
+    @pytest.mark.parametrize("first,size", [(0, 2), (0, 3), (0, 256), (300, 3), (0, 300), (0, 70_000)])
+    def test_scan_matches_brute_force(self, first, size):
+        rng = random.Random(size + first)
+        for _ in range(200):
+            text = [chr(first + rng.randrange(size)) for _ in range(rng.randrange(40))]
+            if text and rng.random() < 0.7:  # plant u^e
+                u = rng.choices(text, k=rng.randrange(1, 6))
+                at = rng.randrange(len(text) + 1)
+                text[at:at] = u * rng.randrange(2, 6)
+            text = "".join(text)
+            assert _max_power_exponent(text) == max_power_exponent_brute(text, len(text) // 2)
 
 
 class TestAperiodicity:

@@ -374,15 +374,13 @@ class TestKloudaMedkova:
     def test_paper_values(self):
         assert klouda_medkova_bound(2) == 8
         assert klouda_medkova_bound(3) == 14
-        assert klouda_medkova_bound(4, 2) == 32
+        assert klouda_medkova_bound(4) == 32
 
     def test_bad_parameters(self):
         with pytest.raises(BadParametersError):
             klouda_medkova_bound(1)
-        with pytest.raises(BadParametersError):
-            klouda_medkova_bound(4, 3)
-        with pytest.raises(BadParametersError):
-            klouda_medkova_bound(12, 3)  # 3 divides 12 but is not least
+        with pytest.raises(TypeError):  # the least divisor is derived from k
+            klouda_medkova_bound(4, 2)
 
     def test_more_values(self):
         assert klouda_medkova_bound(5) == 36  # odd prime
