@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .bignum import big_str, digits10
-from .errors import CapExceeded, InputError, NotAperiodicError
+from .errors import BadParametersError, CapExceeded, InputError, NotAperiodicError
 from .fixedpoint import build_window
 from .language import (
     aperiodicity_check,
@@ -200,6 +200,8 @@ def analyze(
     n_report: int = DEFAULT_N_REPORT,
     safe_d: bool = False,
 ) -> AnalysisReport:
+    if radius < 1:
+        raise BadParametersError("radius must be >= 1")
     warnings: list[str] = []
     alphabet = [letter.display for letter in m.letters]
     rules = m.rules_text().splitlines()

@@ -1,8 +1,8 @@
 """Factor language of a primitive substitution and derived statistics.
 
-The factor sets are exact: they are computed as the fixed point of a
-monotone closure map (seeded from single letters, which is equivalent to
-seeding from an admissible pair when the morphism is primitive), not by
+The factor sets are exact: they are computed as the least fixed point of
+a monotone closure map (seeded from the image of one letter; for a
+primitive morphism any nonempty seed closes to the whole slice), not by
 scanning a finite window and hoping it was long enough.  Window scans are
 used only where the result is explicitly labeled heuristic (return-word
 completeness) or where the window provably suffices.
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Literal
 
 from .errors import (
@@ -81,13 +82,26 @@ class PowerFreeResult:
 class FactorLanguage:
     """Lazily computed exact factor sets of one primitive morphism.
 
-    The closure is run at a single target length c: starting from the
-    length-c factors of a long enough image of one letter, repeatedly
-    collect length-c factors of sigma-images of the current words until
-    stable.  Any length-c factor of any sigma^m(letter) is a length-c
-    factor of sigma(w) for some length-c factor w of sigma^(m-1)(letter),
-    so the fixed point is exactly the length-c slice of the language.
-    Shorter slices are prefix sets of longer ones.
+    The closure runs at a single target length c.  It starts from the
+    length-c windows of a long enough image of one letter, and each round
+    expands only the words the previous round added: from sigma(w) it
+    keeps the length-c windows that start inside sigma(w[0]), at offsets
+    o < |sigma(w[0])|.  sigma is applied to the prefix w[:t] alone, with
+    t = ceil((c-1)/<sigma>) + 1, since |sigma(w[:t])| >= |sigma(w[0])| +
+    (t-1)<sigma> >= o + c already covers every such window.  The least
+    fixed point above the seed is exactly the length-c slice L_c:
+
+    - sound: each window kept is a factor of sigma(w), w in the language;
+    - complete: take u in L_c and a seed word w_s placed in a point y of
+      the shift.  By primitivity u is a factor of sigma^k(w_s[0]) for
+      large k.  Tracing the start of u back through sigma^k(y),
+      sigma^(k-1)(y), ..., y gives a chain of length-c factors from w_s
+      to u in which every step is a first-image window.
+
+    Shorter slices are prefix sets of the closed slice.  Their sizes come
+    in one pass: in sorted order two neighbours have different length-k
+    prefixes iff their longest common prefix is shorter than k, so
+    p(k) = 1 + #{neighbour pairs with LCP < k} for every k up to c.
     """
 
     def __init__(self, m: Morphism):
@@ -95,6 +109,7 @@ class FactorLanguage:
         self.morphism = m
         self._slices: dict[int, frozenset[Word]] = {}
         self._closed_at = 0
+        self._counts = [1]  # p(k) for k <= _closed_at
 
     def _closure(self, c: int) -> frozenset[Word]:
         m = self.morphism
@@ -103,22 +118,29 @@ class FactorLanguage:
         seed = chr(0)
         while len(seed) < c:
             seed = m.apply(seed)
-        current = {seed[i : i + c] for i in range(len(seed) - c + 1)}
-        while True:
+        images, t = m.images, -(-(c - 1) // m.narrowest) + 1
+        # Every window of the seed, though one would be exact too: a slice
+        # too large for memory then fails here, not after many rounds.
+        frontier = {seed[i : i + c] for i in range(len(seed) - c + 1)}
+        closed = set(frontier)
+        while frontier:
             fresh = set()
-            for word in current:
-                image = m.apply(word)
-                fresh.update(image[i : i + c] for i in range(len(image) - c + 1))
-            if fresh <= current:
-                return frozenset(current)
-            current |= fresh
+            for word in frontier:
+                image = m.apply(word[:t])
+                fresh.update(image[o : o + c] for o in range(len(images[ord(word[0])])))
+            frontier = fresh - closed
+            closed |= frontier
+        return frozenset(closed)
 
     def ensure(self, n: int):
-        """Pre-run the closure at length n; shorter slices then derive by
-        prefix-slicing.  Call before ascending complexity loops."""
+        """Run the closure at length n and count p(k) for every k <= n;
+        shorter slices then derive by prefix-slicing.  Call before
+        ascending complexity loops."""
         if n > self._closed_at:
-            self._slices[n] = self._closure(n)
+            words = self._closure(n)
+            self._slices[n] = words
             self._closed_at = n
+            self._counts = _prefix_counts(words, n)
 
     def slice(self, n: int) -> frozenset[Word]:
         if n < 0:
@@ -136,10 +158,36 @@ class FactorLanguage:
         return self._slices[n]
 
     def complexity(self, n: int) -> int:
-        return len(self.slice(n))
+        """p(n), read from the counts of the longest closed slice."""
+        if n < 0:
+            raise BadParametersError("factor length must be >= 0")
+        if n > self._closed_at:
+            self.ensure(n)
+        return self._counts[n]
 
     def __contains__(self, word: Word) -> bool:
         return word in self.slice(len(word))
+
+
+def _common_prefix(a: Word, b: Word) -> int:
+    """Length of the longest common prefix of a and b, by bisection."""
+    lo, hi = 0, min(len(a), len(b))
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if a[:mid] == b[:mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def _prefix_counts(words: frozenset[Word], n: int) -> list[int]:
+    """[p(0), ..., p(n)] for a set of distinct length-n words."""
+    below = [0] * n  # below[l]: sorted neighbours whose LCP is l < n
+    ordered = sorted(words)
+    for a, b in zip(ordered, ordered[1:]):
+        below[_common_prefix(a, b)] += 1
+    return list(accumulate(below, initial=1))
 
 
 @per_morphism

@@ -35,6 +35,7 @@ from .errors import (
 Word = str  # characters are chr(letter index)
 
 _BRACKETED = re.compile(r"^\[[^\[\]\s]+\]$")
+_BLOCK = 64  # letters per memoized block in Morphism.apply
 
 
 @dataclass(frozen=True)
@@ -96,9 +97,23 @@ class Morphism:
         """min |sigma(a)| over letters a."""
         return min(len(w) for w in self.images)
 
+    @functools.cached_property
+    def _block_images(self) -> dict[Word, Word]:
+        """Images of the blocks :meth:`apply` has met, keyed by block."""
+        return {}
+
     def apply(self, word: Word) -> Word:
-        images = self.images
-        return "".join(images[ord(ch)] for ch in word)
+        """sigma(word), joined from the memoized images of its
+        _BLOCK-letter blocks: one lookup per block, not one per letter."""
+        blocks, images = self._block_images, self.images
+        parts = []
+        for i in range(0, len(word), _BLOCK):
+            block = word[i : i + _BLOCK]
+            image = blocks.get(block)
+            if image is None:
+                image = blocks[block] = "".join(images[ord(ch)] for ch in block)
+            parts.append(image)
+        return "".join(parts)
 
     def encode(self, text: str) -> Word:
         """Convert display tokens (contiguous or whitespace-separated) to a word."""

@@ -42,6 +42,27 @@ def distinct_factors(text: str, n: int) -> set[str]:
     return {text[i : i + n] for i in range(len(text) - n + 1)}
 
 
+def closure_reference(rules: dict[str, str], c: int) -> set[str]:
+    """Length-c factors as the least fixed point of the full-window
+    closure: seed with the c-windows of a long image of the first letter,
+    then add every c-window of the image of every word held, until a
+    round adds nothing."""
+    first = next(iter(rules))
+    if all(len(image) == 1 for image in rules.values()):
+        return {first * c}  # a primitive morphism with unit images is a -> a
+    seed = first
+    while len(seed) < c:
+        seed = expand(rules, seed)
+    current = distinct_factors(seed, c)
+    while True:
+        fresh = set()
+        for word in current:
+            fresh |= distinct_factors(expand(rules, word), c)
+        if fresh <= current:
+            return current
+        current |= fresh
+
+
 def max_power_exponent_brute(text: str, max_period: int) -> int:
     """Largest k with some u^k in text, |u| <= max_period, by direct
     character comparison."""

@@ -6,6 +6,7 @@ import pytest
 
 from subrec.cli import analyze, emit_report, report_from_json, run
 from subrec import parse_morphism, recognizability_bound, zoo
+from subrec.errors import BadParametersError
 
 FIB_TEXT = "a -> a b\nb -> a\n"
 TM_TEXT = "a -> a b\nb -> b a\n"
@@ -246,6 +247,16 @@ class TestSmallRadius:
         )
         assert code == 0
         assert json.loads(out)["empirical"]["L_heuristic"] is None
+
+    @pytest.mark.parametrize("radius", [0, -1])
+    def test_radius_below_one_refused(self, radius, morph_file):
+        with pytest.raises(BadParametersError, match="radius must be >= 1"):
+            analyze(zoo.FIBONACCI, radius=radius)
+        code, out, err = invoke(
+            ["analyze", morph_file("fib.morph", FIB_TEXT), "--json", "--radius", str(radius)]
+        )
+        assert (code, out) == (2, "")
+        assert "radius must be >= 1" in err
 
 
 class TestExactCapEnvironment:

@@ -14,14 +14,17 @@ from subrec import (
 )
 from subrec import certified_constants, zoo
 from subrec.errors import NotAFactorError, NotPrimitiveError, WindowCapExceededError
-from subrec.language import _max_power_exponent
+from subrec.language import FactorLanguage, _max_power_exponent
 from subrec.morphism import parse_morphism
 
 from oracles import (
     FIB_RULES,
     TM_RULES,
     TRIB_RULES,
+    closure_reference,
     distinct_factors,
+    first_positive_power,
+    incidence,
     max_power_exponent_brute,
     prefix,
     return_words_scan,
@@ -37,6 +40,21 @@ RULED = [
 
 def decoded(m, words):
     return sorted(m.decode(w) for w in words)
+
+
+def random_primitive_rules(rng: random.Random, count: int) -> list[dict[str, str]]:
+    """count primitive morphisms on 1-5 letters with images of 1-4 letters."""
+    drawn = []
+    while len(drawn) < count:
+        letters = "abcde"[: rng.randint(1, 5)]
+        rules = {
+            a: "".join(rng.choice(letters) for _ in range(rng.randint(1, 4)))
+            for a in letters
+        }
+        d = len(letters)
+        if first_positive_power(incidence(rules)[1], d * d - 2 * d + 2) is not None:
+            drawn.append(rules)
+    return drawn
 
 
 class TestFactorLanguage:
@@ -59,6 +77,24 @@ class TestFactorLanguage:
             assert decoded(m, factor_language(m, n).words) == sorted(
                 distinct_factors(window, n)
             )
+
+    def test_closure_matches_reference(self):
+        """The first-image frontier closure gives the full-window closure's
+        slice, and the one-pass counts give the sizes of its prefix sets,
+        both after the first ensure and after a longer one."""
+        drawn = random_primitive_rules(random.Random(8), 60)
+        assert any(min(map(len, rules.values())) == 1 for rules in drawn)  # <sigma> = 1
+        for rules in drawn:
+            m = parse_morphism("\n".join(f"{a} -> {' '.join(image)}" for a, image in rules.items()))
+            for c in (1, 2, 5, 17, 40):
+                expected = sorted(closure_reference(rules, c))
+                lang = FactorLanguage(m)
+                for closed in (c, 2 * c + 3):
+                    lang.ensure(closed)
+                    words = lang.slice(c)
+                    assert decoded(m, words) == expected, (rules, c)
+                    for k in range(c + 1):
+                        assert lang.complexity(k) == len({w[:k] for w in words})
 
     def test_extension_closure(self):
         for m in ZOO:

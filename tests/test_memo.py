@@ -18,6 +18,7 @@ from subrec import (
 )
 from subrec.cli import analyze
 from subrec.language import _max_power_exponent
+from subrec.morphism import Morphism
 
 FIB_TEXT = "a -> a b\nb -> a"
 AAB_TEXT = "a -> a a b\nb -> b c a\nc -> c a b"
@@ -67,3 +68,16 @@ def test_one_analysis_runs_each_body_once():
     counts = {entry.code: entry.callcount for entry in profile.getstats()}
     assert counts.get(_max_power_exponent.__code__) == 1
     assert counts.get(certified_constants.__wrapped__.__code__) == 1
+
+
+def test_closure_expands_each_word_once():
+    """The closure applies sigma once per word of the slice, plus the
+    expansion steps of its seed: |sigma^5(a)| = 243 is the first image of
+    a that holds a 200-letter window."""
+    m = parse_morphism(AAB_TEXT)
+    lang = language_of(m)
+    profile = cProfile.Profile()
+    profile.runcall(lang.ensure, 200)
+    counts = {entry.code: entry.callcount for entry in profile.getstats()}
+    assert lang.complexity(200) == 997
+    assert counts.get(Morphism.apply.__code__, 0) <= 997 + 5

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -95,6 +97,16 @@ class TestApply:
         u = data.draw(st.text(alphabet=letters, max_size=20))
         v = data.draw(st.text(alphabet=letters, max_size=20))
         assert m.apply(u + v) == m.apply(u) + m.apply(v)
+
+    @pytest.mark.parametrize("length", [1, 63, 64, 65, 128, 200, 300])
+    def test_blocks_match_oracle(self, length):
+        """Words spanning several memoized blocks expand as the literal
+        join loop does, on first use and from the memo."""
+        rng = random.Random(length)
+        for m, rules in ((zoo.FIBONACCI, FIB_RULES), (zoo.TRIBONACCI, TRIB_RULES)):
+            word = "".join(rng.choice(sorted(rules)) for _ in range(length))
+            for _ in range(2):
+                assert m.decode(m.apply(m.encode(word))) == expand(rules, word)
 
 
 class TestIterate:
