@@ -19,7 +19,13 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .bignum import big_str, digits10
-from .errors import BadParametersError, CapExceeded, InputError, NotAperiodicError
+from .errors import (
+    BadParametersError,
+    CapExceeded,
+    InputError,
+    NotAperiodicError,
+    PowerIndexCapExceededError,
+)
 from .fixedpoint import build_window
 from .language import (
     aperiodicity_check,
@@ -55,6 +61,10 @@ DEFAULT_RADIUS = 1000
 DEFAULT_MAX_DELAY = 24
 DEFAULT_N_REPORT = 16
 DEFAULT_L_MAX = 16
+# Window letters for verify and analyze.  verify --L 1 on Fibonacci peaks at
+# about 112 bytes a letter plus 30 MB (212 MB RSS at 1,664,080 letters), so
+# a window at the cap stays near 255 MB, far below a 1 GB address space.
+DEFAULT_MAX_LETTERS = 2_000_000
 FULL_PRINT_DIGITS = 80
 
 
@@ -262,7 +272,9 @@ def analyze(
     empirical = None
     if seeds:
         # Level 1 and one letter past |sigma| on each side: enough for L = 0.
-        window = build_window(m, seeds[0], max(radius, m.widest + 1), min_level=1)
+        window = build_window(
+            m, seeds[0], max(radius, m.widest + 1), min_level=1, max_letters=DEFAULT_MAX_LETTERS
+        )
         result = minimal_constant_empirical(window, 1, DEFAULT_L_MAX)
         empirical = {
             "L_lower": result.certified_lower,
@@ -279,9 +291,14 @@ def analyze(
 
     bounds: dict = {}
     if not screening.periodic:
-        for key, mode in (("maindetail", "empirical_exact"), ("maindetail_certified", "certified")):
-            breakdown = recognizability_bound(m, mode, safe_d=safe_d)
-            bounds[key] = _breakdown_json(breakdown)
+        try:
+            breakdown = recognizability_bound(m, "empirical_exact", safe_d=safe_d)
+        except PowerIndexCapExceededError as exc:
+            warnings.append(f"bounds.maindetail omitted: {exc}")
+        else:
+            bounds["maindetail"] = _breakdown_json(breakdown)
+        breakdown = recognizability_bound(m, "certified", safe_d=safe_d)
+        bounds["maindetail_certified"] = _breakdown_json(breakdown)
         cf = closed_form_bound(m)
         bounds["closed_form"] = {
             "base": cf.base,
@@ -343,7 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--level", type=int, default=1)
     p.add_argument("--radius", type=int, default=DEFAULT_RADIUS)
-    p.add_argument("--max-letters", type=int, default=None, help="window size cap")
+    p.add_argument("--max-letters", type=int, default=DEFAULT_MAX_LETTERS, help="window size cap")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("language", help="factor set of one length")

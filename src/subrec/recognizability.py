@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import math
 import os
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterator, Literal
 
 from .bignum import digits10, int_log10
@@ -22,10 +24,12 @@ from .errors import (
     InputError,
     NotAFactorError,
     NotAperiodicError,
+    PowerIndexCapExceededError,
     WindowTooSmallError,
 )
 from .fixedpoint import Window, cutting_points
 from .language import (
+    DEFAULT_MAX_K,
     aperiodicity_check,
     language_of,
     power_free_index,
@@ -167,50 +171,37 @@ class SyncResult:
     screened_periodic: bool = False
 
 
-def interpretations(m: Morphism, u: Word) -> tuple[Interpretation, ...]:
-    """All tight interpretations of u.
+def _first_images(m: Morphism, n: int) -> Iterator[tuple[Word, Word, list[int]]]:
+    """(w, sigma(w), its image boundaries 0, ..., |sigma(w)|) for each w in
+    L_t, t = ceil((n-1)/<sigma>) + 1: the closure's t at length n, whose
+    windows at offsets o < |sigma(w[0])| are exactly L_n (see the
+    completeness argument in the FactorLanguage docstring)."""
+    for w in language_of(m).slice(-(-(n - 1) // m.narrowest) + 1):
+        yield w, m.apply(w), list(accumulate((len(m.images[ord(c)]) for c in w), initial=0))
 
-    Candidate cores are enumerated from the factor language over the
-    provably complete length range |u|/|sigma| <= |v| <=
-    (|u| + 2(|sigma|-1)) / <sigma>, and every candidate is checked by
-    direct matching, so the range is a pruning device only.
+
+def interpretations(m: Morphism, u: Word) -> tuple[Interpretation, ...]:
+    """All tight interpretations of u, read off the first-image pass.
+
+    At each offset o < |sigma(w[0])| where u occurs in sigma(w), the core
+    is w[:j], j the first boundary at or past o + |u|, and the cuts are the
+    boundaries in [o, o + |u|], minus o.  No core is missed: tightness
+    gives |sigma(v[:-1])| < o + |u| <= |sigma(v[0])| + |u| - 1, so |v| <= t.
     """
     if not u:
         raise BadParametersError("u must be non-empty")
-    lang = language_of(m)
-    if u not in lang:
+    if u not in language_of(m):
         raise NotAFactorError(f"{m.decode(u)!r} is not a factor")
-    widest, narrowest = m.widest, m.narrowest
-    lo = max(1, -((-len(u)) // widest))
-    hi = (len(u) + 2 * (widest - 1)) // narrowest
-    found: list[Interpretation] = []
-    for t in range(lo, hi + 1):
-        for v in lang.slice(t):
-            sv = m.apply(v)
-            if len(sv) < len(u):
-                continue
-            first_len = len(m.images[ord(v[0])])
-            last_len = len(m.images[ord(v[-1])])
-            off = sv.find(u)
-            while 0 <= off < first_len:
-                s_len = len(sv) - off - len(u)
-                if s_len < last_len:
-                    found.append(_make_interpretation(m, u, v, off))
-                off = sv.find(u, off + 1)
-    return tuple(sorted(found, key=lambda it: (it.core, len(it.prefix))))
-
-
-def _make_interpretation(m: Morphism, u: Word, v: Word, off: int) -> Interpretation:
-    sv_len = off
-    cuts = [0] if off == 0 else []
-    cum = 0
-    for c in v:
-        cum += len(m.images[ord(c)])
-        k = cum - off
-        if 1 <= k <= len(u):
-            cuts.append(k)
-    image = m.apply(v)
-    return Interpretation(image[:off], v, image[off + len(u) :], tuple(cuts))
+    found: dict[tuple[Word, int], Interpretation] = {}
+    for w, image, bounds in _first_images(m, len(u)):
+        o = image.find(u)
+        while 0 <= o < bounds[1]:
+            end = o + len(u)
+            j = bisect_left(bounds, end)
+            cuts = tuple(b - o for b in bounds[: j + 1] if o <= b <= end)
+            found[w[:j], o] = Interpretation(image[:o], w[:j], image[end : bounds[j]], cuts)
+            o = image.find(u, o + 1)
+    return tuple(found[key] for key in sorted(found))
 
 
 def synchronizing_point(m: Morphism, u: Word, interior_only: bool = False) -> SyncPointVerdict:
@@ -241,18 +232,23 @@ def synchronizing_delay(
     common boundary), so the first all-synchronized length is the delay.
     Periodic fixed points never have one; they are screened out first and
     reported as delay None.
+
+    Each length n takes one first-image pass: the sync cuts of every
+    length-n window (without n when interior_only) are intersected per
+    window, with no search per factor.
     """
     if n_max < 1:
         raise BadParametersError("n_max must be >= 1")
     if aperiodicity_check(m).periodic:
         return SyncResult(None, n_max, (), None, screened_periodic=True)
-    lang = language_of(m)
     per_length: list[tuple[int, tuple[Word, ...]]] = []
     for n in range(1, n_max + 1):
-        bad = tuple(
-            u for u in sorted(lang.slice(n))
-            if not synchronizing_point(m, u, interior_only).synchronized
-        )
+        common: dict[Word, set[int]] = {}
+        for _, image, bounds in _first_images(m, n):
+            for o in range(bounds[1]):
+                cuts = {b - o for b in bounds[1 : bisect_right(bounds, o + n - interior_only)]}
+                common.setdefault(image[o : o + n], cuts).intersection_update(cuts)
+        bad = tuple(sorted(u for u, cuts in common.items() if not cuts))
         per_length.append((n, bad))
         if not bad:
             return SyncResult(n, n_max, tuple(per_length), n // 2)
@@ -507,8 +503,11 @@ def recognizability_bound(
 
     if mode == "empirical_exact":
         pf = power_free_index(m)
-        if pf.kind != "bounded":
-            raise InputError(f"power-free index not pinned (verdict {pf.kind})")
+        if pf.k is None:
+            raise PowerIndexCapExceededError(
+                f"power-free index {pf.kind}: exponent {pf.max_exponent} in the first "
+                f"{pf.scan_len} letters puts k past max_k={DEFAULT_MAX_K}"
+            )
         k = pf.k
         n_value, n_warnings = exact_ratio_constant(m)
         warnings.extend(n_warnings)

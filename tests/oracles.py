@@ -212,18 +212,108 @@ def verify_reference(window: OracleWindow, L: int, p: int) -> tuple[int, int, in
     return best
 
 
+def image_boundaries(rules: dict[str, str], v: str) -> list[int]:
+    """0, then the end of each letter's image in expand(rules, v)."""
+    ends = [0]
+    for ch in v:
+        ends.append(ends[-1] + len(rules[ch]))
+    return ends
+
+
 def tight_interpretations_brute(
     rules: dict[str, str], u: str, language: set[str]
-) -> set[tuple[str, str, str]]:
-    """All tight (prefix, core, suffix) triples by trying every candidate
-    core from the given language sample at every offset."""
+) -> set[tuple[str, str, str, tuple[int, ...]]]:
+    """All tight (prefix, core, suffix, cuts) by trying every candidate
+    core from the given language sample at every offset; cuts are the
+    image boundaries of the core that fall in [off, off + |u|], minus off."""
     out = set()
     for v in language:
         sv = expand(rules, v)
+        ends = image_boundaries(rules, v)
         for off in range(len(sv)):
             if sv[off : off + len(u)] != u or off + len(u) > len(sv):
                 continue
             p, s = sv[:off], sv[off + len(u) :]
             if len(p) < len(rules[v[0]]) and len(s) < len(rules[v[-1]]):
-                out.add((p, v, s))
+                cuts = tuple(k - off for k in ends if off <= k <= off + len(u))
+                out.add((p, v, s, cuts))
     return out
+
+
+def interpretations_reference(
+    rules: dict[str, str], n: int, factors
+) -> dict[str, list[tuple[str, str, str, tuple[int, ...]]]]:
+    """Tight interpretations of every length-n factor, as (prefix, core,
+    suffix, cuts) sorted by core and then prefix length.
+
+    Candidate cores are the factors(t) of every length t in the range
+    n/|sigma| <= t <= (n + 2(|sigma|-1))/<sigma>, each expanded and cut
+    into its length-n windows at every offset inside the first image whose
+    suffix stays inside the last image."""
+    widest = max(len(image) for image in rules.values())
+    narrowest = min(len(image) for image in rules.values())
+    found: dict[str, list[tuple[str, str, str, tuple[int, ...]]]] = {}
+    for t in range(max(1, -(-n // widest)), (n + 2 * (widest - 1)) // narrowest + 1):
+        for v in factors(t):
+            sv = expand(rules, v)
+            ends = image_boundaries(rules, v)
+            for off in range(len(rules[v[0]])):
+                rest = len(sv) - off - n
+                if 0 <= rest < len(rules[v[-1]]):
+                    cuts = tuple(k - off for k in ends if off <= k <= off + n)
+                    found.setdefault(sv[off : off + n], []).append(
+                        (sv[:off], v, sv[off + n :], cuts)
+                    )
+    for interps in found.values():
+        interps.sort(key=lambda it: (it[1], len(it[0])))
+    return found
+
+
+def sync_points_reference(
+    interps: list[tuple[str, str, str, tuple[int, ...]]], n: int, interior_only: bool
+) -> tuple[int, ...]:
+    """Positions k >= 1 that are cuts of every interpretation, without
+    k = n when interior_only."""
+    common = set.intersection(*({k for k in cuts if k >= 1} for *_, cuts in interps))
+    if interior_only:
+        common.discard(n)
+    return tuple(sorted(common))
+
+
+def delay_reference(
+    rules: dict[str, str], n_max: int, interior_only: bool, factors
+) -> tuple[int | None, list[tuple[int, list[str]]], bool]:
+    """(delay, [(n, unsynchronized factors)], periodic) by the
+    interpretations of each length in turn.  The search is skipped as
+    periodic when some n <= n_max has p(n) <= n (Morse-Hedlund)."""
+    if any(len(factors(n)) <= n for n in range(1, n_max + 1)):
+        return None, [], True
+    per_length = []
+    for n in range(1, n_max + 1):
+        interps = interpretations_reference(rules, n, factors)
+        assert set(interps) == factors(n)
+        bad = sorted(
+            u for u, its in interps.items() if not sync_points_reference(its, n, interior_only)
+        )
+        per_length.append((n, bad))
+        if not bad:
+            return n, per_length, False
+    return None, per_length, False
+
+
+def random_primitive_rules(
+    rng, count: int, letters: tuple[int, int], image: tuple[int, int]
+) -> list[dict[str, str]]:
+    """count primitive morphisms whose alphabet size and image lengths are
+    drawn uniformly from the given inclusive ranges."""
+    drawn = []
+    while len(drawn) < count:
+        alphabet = "abcde"[: rng.randint(*letters)]
+        rules = {
+            a: "".join(rng.choice(alphabet) for _ in range(rng.randint(*image)))
+            for a in alphabet
+        }
+        d = len(alphabet)
+        if first_positive_power(incidence(rules)[1], d * d - 2 * d + 2) is not None:
+            drawn.append(rules)
+    return drawn

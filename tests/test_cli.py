@@ -4,13 +4,14 @@ from pathlib import Path
 
 import pytest
 
-from subrec.cli import analyze, emit_report, report_from_json, run
+from subrec.cli import DEFAULT_MAX_LETTERS, analyze, emit_report, report_from_json, run
 from subrec import parse_morphism, recognizability_bound, zoo
 from subrec.errors import BadParametersError
 
 FIB_TEXT = "a -> a b\nb -> a\n"
 TM_TEXT = "a -> a b\nb -> b a\n"
 PER_TEXT = "a -> a b\nb -> a b\n"
+LONG_A_TEXT = f"a -> {' a' * 65} b\nb -> a\n"  # a 66-th power within 10,000 letters
 
 SCHEMA_KEYS = {
     "alphabet", "rules", "primitive", "seeds", "constants",
@@ -257,6 +258,38 @@ class TestSmallRadius:
         )
         assert (code, out) == (2, "")
         assert "radius must be >= 1" in err
+
+
+class TestInconclusivePowerIndex:
+    """A power past max_k leaves k unpinned: analyze drops the bound that
+    needs it, and bound --mode empirical is refused by the cap."""
+
+    def test_analyze_keeps_other_bounds(self, morph_file):
+        code, out, _ = invoke(["analyze", morph_file("a65.morph", LONG_A_TEXT), "--json"])
+        assert code == 0
+        data = json.loads(out)
+        assert data["constants"]["k"] == "inconclusive"
+        assert sorted(data["bounds"]) == ["closed_form", "maindetail_certified"]
+        omitted = [w for w in data["warnings"] if w.startswith("bounds.maindetail omitted")]
+        assert len(omitted) == 1 and "power-free index inconclusive" in omitted[0]
+
+    def test_bound_empirical_exits_3(self, morph_file):
+        code, out, err = invoke(
+            ["bound", morph_file("a65.morph", LONG_A_TEXT), "--mode", "empirical"]
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("subrec: cap exceeded: power-free index inconclusive")
+
+
+class TestWindowCap:
+    """verify and analyze refuse a window past DEFAULT_MAX_LETTERS up front."""
+
+    @pytest.mark.parametrize("command", [["verify", "--L", "1"], ["analyze"]])
+    def test_huge_radius_refused(self, command, morph_file):
+        path = morph_file("fib.morph", FIB_TEXT)
+        code, out, err = invoke([command[0], path, *command[1:], "--radius", "1000000000"])
+        assert (code, out) == (3, "")
+        assert f"exceeds cap {DEFAULT_MAX_LETTERS}" in err
 
 
 class TestExactCapEnvironment:

@@ -23,10 +23,9 @@ from oracles import (
     TRIB_RULES,
     closure_reference,
     distinct_factors,
-    first_positive_power,
-    incidence,
     max_power_exponent_brute,
     prefix,
+    random_primitive_rules,
     return_words_scan,
 )
 
@@ -40,21 +39,6 @@ RULED = [
 
 def decoded(m, words):
     return sorted(m.decode(w) for w in words)
-
-
-def random_primitive_rules(rng: random.Random, count: int) -> list[dict[str, str]]:
-    """count primitive morphisms on 1-5 letters with images of 1-4 letters."""
-    drawn = []
-    while len(drawn) < count:
-        letters = "abcde"[: rng.randint(1, 5)]
-        rules = {
-            a: "".join(rng.choice(letters) for _ in range(rng.randint(1, 4)))
-            for a in letters
-        }
-        d = len(letters)
-        if first_positive_power(incidence(rules)[1], d * d - 2 * d + 2) is not None:
-            drawn.append(rules)
-    return drawn
 
 
 class TestFactorLanguage:
@@ -82,7 +66,7 @@ class TestFactorLanguage:
         """The first-image frontier closure gives the full-window closure's
         slice, and the one-pass counts give the sizes of its prefix sets,
         both after the first ensure and after a longer one."""
-        drawn = random_primitive_rules(random.Random(8), 60)
+        drawn = random_primitive_rules(random.Random(8), 60, (1, 5), (1, 4))
         assert any(min(map(len, rules.values())) == 1 for rules in drawn)  # <sigma> = 1
         for rules in drawn:
             m = parse_morphism("\n".join(f"{a} -> {' '.join(image)}" for a, image in rules.items()))

@@ -1,4 +1,6 @@
+import functools
 import math
+import random
 
 import pytest
 
@@ -39,8 +41,13 @@ from oracles import (
     TRIB_RULES,
     OracleWindow,
     check_counterexample,
+    closure_reference,
+    delay_reference,
     distinct_factors,
+    interpretations_reference,
     prefix,
+    random_primitive_rules,
+    sync_points_reference,
     tight_interpretations_brute,
     verify_reference,
 )
@@ -52,6 +59,10 @@ RULED = [
     (zoo.COLLAPSING, COLL_RULES),
 ]
 MIXED = parse_morphism("a -> a a b\nb -> b c a\nc -> c a b")
+
+
+def rules_id(rules):
+    return "; ".join(f"{a}->{image}" for a, image in rules.items())
 
 
 def window_of(m, radius=1000, min_level=4):
@@ -121,7 +132,7 @@ class TestInterpretations:
                 for u in sorted(distinct_factors(window[:200], n)):
                     expected = tight_interpretations_brute(rules, u, language)
                     got = {
-                        (m.decode(i.prefix), m.decode(i.core), m.decode(i.suffix))
+                        (m.decode(i.prefix), m.decode(i.core), m.decode(i.suffix), i.cuts)
                         for i in interpretations(m, m.encode(u))
                     }
                     assert got == expected
@@ -131,6 +142,47 @@ class TestInterpretations:
             for u in sorted(factor_language(m, 3).words):
                 for interp in interpretations(m, u):
                     assert (0 in interp.cuts) == (interp.prefix == "")
+
+
+class TestFirstImagePass:
+    """interpretations, synchronizing_point and synchronizing_delay against
+    the enumeration over the full core-length range, on exact slices from
+    the full-window closure."""
+
+    DRAWN = random_primitive_rules(random.Random(9), 60, (2, 4), (1, 5))
+    LONG_A = {"a": "a" * 20 + "b", "b": "a"}  # C = 21
+
+    @pytest.mark.parametrize("rules", DRAWN + [LONG_A], ids=rules_id)
+    def test_matches_reference(self, rules):
+        m = parse_morphism("\n".join(f"{a} -> {' '.join(image)}" for a, image in rules.items()))
+        factors = functools.cache(lambda t: closure_reference(rules, t))
+        for n in (1, 2, 3, 5):
+            expected = interpretations_reference(rules, n, factors)
+            assert set(expected) == factors(n)
+            for u, interps in expected.items():
+                got = [
+                    (m.decode(i.prefix), m.decode(i.core), m.decode(i.suffix), i.cuts)
+                    for i in interpretations(m, m.encode(u))
+                ]
+                assert got == interps, u
+                for interior_only in (False, True):
+                    verdict = synchronizing_point(m, m.encode(u), interior_only)
+                    assert verdict.positions == sync_points_reference(interps, n, interior_only)
+        for interior_only in (False, True):
+            result = synchronizing_delay(m, 16, interior_only)
+            delay, per_length, periodic = delay_reference(rules, 16, interior_only, factors)
+            assert result.screened_periodic == periodic
+            assert result.delay == delay
+            assert result.L_from_C == (None if delay is None else delay // 2)
+            assert result.n_max == 16
+            assert [(n, [m.decode(u) for u in bad]) for n, bad in result.per_length] == per_length
+
+    def test_long_first_image(self):
+        m = parse_morphism(f"a -> {' '.join('a' * 65)} b\nb -> a")
+        result = synchronizing_delay(m, 24)
+        assert result.delay is None
+        assert [n for n, bad in result.per_length] == list(range(1, 25))
+        assert dict(result.per_length)[24] == (m.encode("a" * 24),)
 
 
 class TestSynchronizingPoint:
