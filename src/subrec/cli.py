@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -77,6 +78,11 @@ def _fmt_big_human(x: int) -> str:
     if len(s) <= FULL_PRINT_DIGITS:
         return s
     return f"<{len(s)} digits, leading {s[:12]}...>"
+
+
+def _shorten_digits(expr: str) -> str:
+    """expr with every digit run past FULL_PRINT_DIGITS shortened for humans."""
+    return re.sub(rf"\d{{{FULL_PRINT_DIGITS + 1},}}", lambda run: _fmt_big_human(int(run[0])), expr)
 
 
 def _big_value_json(v: BigValue):
@@ -187,10 +193,11 @@ def _human_report(report: AnalysisReport) -> str:
     for name, payload in sorted(report.bounds.items()):
         if isinstance(payload, dict):
             value = payload.get("bound", payload.get("value"))
+            expr = _shorten_digits(value["expr"]) if isinstance(value, dict) else ""
             shown = (
                 _fmt_big_human(int(value))
                 if isinstance(value, str)
-                else f"~10^{payload['log10']} ({value['expr'] if isinstance(value, dict) else ''})"
+                else f"~10^{payload['log10']} ({expr})"
             )
             lines.append(f"bound {name:<20} {shown}")
         else:

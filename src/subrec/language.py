@@ -26,6 +26,8 @@ from .morphism import Morphism, Word, end_letters, per_morphism, require_primiti
 DEFAULT_SCAN_LEN = 10_000
 DEFAULT_MAX_K = 64
 DEFAULT_APERIODICITY_N = 200
+# Periods from here on are scanned by aligned blocks (_max_power_exponent).
+BLOCK_SCAN_PERIOD = 64
 
 
 @dataclass(frozen=True)
@@ -311,19 +313,36 @@ def _max_power_exponent(text: Word) -> int:
     """Largest k such that some u^k (u non-empty) occurs in text.
 
     A run of r consecutive positions i with text[i] == text[i+p] spells a
-    power of period p and exponent floor(r/p) + 1.  Each letter becomes a
-    fixed-width big-endian byte code; XOR-ing the codes with their p-shift
-    zeroes exactly the codes of those positions, and OR-folding each code
-    into its last byte leaves one mark byte per position, zero where the
-    letters agree.  Only a run of best*p zero marks can raise the maximum
-    found so far, so one bytes.find per improvement settles a period, and
-    periods stop once a (best+1)-th power no longer fits:
-    (best+1)*p > len(text).
+    power of period p and exponent floor(r/p) + 1.  Only a run of best*p
+    such positions can raise the maximum found so far, and periods stop
+    once a (best+1)-th power no longer fits: (best+1)*p > len(text).
+
+    Periods below BLOCK_SCAN_PERIOD read the whole shift.  Each letter
+    becomes a fixed-width big-endian byte code; XOR-ing the codes with
+    their p-shift zeroes exactly the codes of agreeing positions, and
+    OR-folding each code into its last byte leaves one mark byte per
+    position, zero where the letters agree.  One bytes.find per
+    improvement settles the period.
+
+    Longer periods compare aligned blocks only.  With h = ceil(best*p/2),
+    a run [s, s+r) with r >= best*p covers the block [j, j+h) at the
+    first multiple j of h at or past s, since j <= s+h-1 and so
+    j+h <= s+2h-1 <= s+best*p.  One slice compare per multiple of h
+    therefore misses no run that can raise best.  A matching block is
+    extended both ways by longest common extension (backwards over the
+    reversed text) to its whole run, and the scan goes on at the first
+    block past the run's end, where the next run can start at the
+    earliest.  A period then costs about 2*len(text)/(best*p) compares in
+    place of len(text) marks.  The cut is a constant because the scan
+    time on fixed-point prefixes is flat for cuts from 32 to 128: short
+    periods gain little from blocks of a few letters, and no input
+    property picks a better one.
     """
+    n = len(text)
     width = max(1, (ord(max(text, default="\0")).bit_length() + 7) // 8)
     codes = b"".join(ord(c).to_bytes(width, "big") for c in text)
     best, p = 1, 1
-    while (best + 1) * p <= len(text):
+    while (best + 1) * p <= n and p < BLOCK_SCAN_PERIOD:
         span = len(codes) - p * width
         diff = int.from_bytes(codes[:span], "big") ^ int.from_bytes(codes[p * width :], "big")
         for _ in range(width - 1):
@@ -333,6 +352,20 @@ def _max_power_exponent(text: Word) -> int:
         while hit != -1:
             best += 1
             hit = marks.find(bytes(best * p), hit)
+        p += 1
+    reverse = text[::-1]
+    while (best + 1) * p <= n:
+        h = -(-best * p // 2)
+        j = 0
+        while j + h <= n - p:
+            if text[j : j + h] != text[j + p : j + p + h]:
+                j += h
+                continue
+            ahead = _common_prefix(text[j:], text[j + p :])
+            behind = _common_prefix(reverse[n - j :], reverse[n - j - p :])
+            best = max(best, (behind + ahead) // p + 1)
+            h = -(-best * p // 2)
+            j = (j + ahead) // h * h + h
         p += 1
     return best
 

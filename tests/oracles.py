@@ -2,9 +2,9 @@
 
 Everything here works on plain display strings and dict-based rules,
 deliberately sharing no code with the package: expansion is a literal
-join loop, powers are found by quadratic scanning, primitivity by integer
-matrix powers, cut sets by cumulative sums over independently expanded
-preimage words.
+join loop, powers are found by quadratic scanning and by XOR-ing every
+shift of the whole text, primitivity by integer matrix powers, cut sets
+by cumulative sums over independently expanded preimage words.
 """
 
 from __future__ import annotations
@@ -76,6 +76,36 @@ def max_power_exponent_brute(text: str, max_period: int) -> int:
                 best = max(best, run // p + 1)
             else:
                 run = 0
+    return best
+
+
+def max_power_exponent_reference(text: str) -> int:
+    """Largest k such that some u^k (u non-empty) occurs in text.
+
+    A run of r consecutive positions i with text[i] == text[i+p] spells a
+    power of period p and exponent floor(r/p) + 1.  Each letter becomes a
+    fixed-width big-endian byte code; XOR-ing the codes with their p-shift
+    zeroes exactly the codes of those positions, and OR-folding each code
+    into its last byte leaves one mark byte per position, zero where the
+    letters agree.  Only a run of best*p zero marks can raise the maximum
+    found so far, so one bytes.find per improvement settles a period, and
+    periods stop once a (best+1)-th power no longer fits:
+    (best+1)*p > len(text).
+    """
+    width = max(1, (ord(max(text, default="\0")).bit_length() + 7) // 8)
+    codes = b"".join(ord(c).to_bytes(width, "big") for c in text)
+    best, p = 1, 1
+    while (best + 1) * p <= len(text):
+        span = len(codes) - p * width
+        diff = int.from_bytes(codes[:span], "big") ^ int.from_bytes(codes[p * width :], "big")
+        for _ in range(width - 1):
+            diff |= diff >> 8
+        marks = diff.to_bytes(span, "big")[width - 1 :: width]
+        hit = marks.find(bytes(best * p))
+        while hit != -1:
+            best += 1
+            hit = marks.find(bytes(best * p), hit)
+        p += 1
     return best
 
 

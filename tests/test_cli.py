@@ -1,5 +1,6 @@
 import io
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -272,6 +273,13 @@ class TestInconclusivePowerIndex:
         assert sorted(data["bounds"]) == ["closed_form", "maindetail_certified"]
         omitted = [w for w in data["warnings"] if w.startswith("bounds.maindetail omitted")]
         assert len(omitted) == 1 and "power-free index inconclusive" in omitted[0]
+
+    def test_human_report_shortens_long_exponents(self, morph_file):
+        code, out, _ = invoke(["analyze", morph_file("a65.morph", LONG_A_TEXT)])
+        assert code == 0
+        line = next(x for x in out.splitlines() if x.startswith("bound maindetail_certified"))
+        assert "*|sigma^<178 digits, leading 164738530287...>| + |sigma^1|)" in line
+        assert not re.search(r"\d{81}", out)
 
     def test_bound_empirical_exits_3(self, morph_file):
         code, out, err = invoke(

@@ -14,7 +14,7 @@ from subrec import (
 )
 from subrec import certified_constants, zoo
 from subrec.errors import NotAFactorError, NotPrimitiveError, WindowCapExceededError
-from subrec.language import FactorLanguage, _max_power_exponent
+from subrec.language import BLOCK_SCAN_PERIOD, FactorLanguage, _max_power_exponent
 from subrec.morphism import parse_morphism
 
 from oracles import (
@@ -24,6 +24,7 @@ from oracles import (
     closure_reference,
     distinct_factors,
     max_power_exponent_brute,
+    max_power_exponent_reference,
     prefix,
     random_primitive_rules,
     return_words_scan,
@@ -195,6 +196,52 @@ class TestPowerFreeIndex:
                 text[at:at] = u * rng.randrange(2, 6)
             text = "".join(text)
             assert _max_power_exponent(text) == max_power_exponent_brute(text, len(text) // 2)
+
+    @pytest.mark.parametrize("first,size", [(97, 2), (97, 3), (70_000, 40)])
+    def test_block_scan_matches_reference(self, first, size):
+        # 100-3,000 letters with powers of periods 1-400 planted, exponents
+        # fractional and up to 12, so periods past the cut are scanned by
+        # blocks and some of their runs raise the best exponent
+        rng = random.Random(first + size)
+        for _ in range(4):
+            text = [chr(first + rng.randrange(size)) for _ in range(rng.randrange(100, 3001))]
+            for _ in range(rng.randrange(1, 4)):
+                p = rng.randrange(1, 401)
+                u = [chr(first + rng.randrange(size)) for _ in range(p)]
+                at = rng.randrange(len(text) + 1)
+                text[at:at] = (u * 12)[: min(1500, rng.randrange(p + 1, 12 * p + 1))]
+            text = "".join(text)
+            assert _max_power_exponent(text) == max_power_exponent_reference(text)
+
+    # best exponent b before the block scan, then u^(b+1) with a tail: its
+    # run is b*|u| + tail letters, and its offset sweeps the block boundaries
+    @pytest.mark.parametrize(
+        "b,p,tail", [(1, 64, 0), (1, 65, 0), (3, 65, 0), (2, 67, 0), (1, 100, 37), (2, 64, 63)]
+    )
+    def test_block_scan_medium_texts(self, b, p, tail):
+        assert p >= BLOCK_SCAN_PERIOD
+        fresh = map(chr, range(70_000, 80_000))  # distinct letters: no other repeats
+        h = -(-b * p // 2)
+        for at in sorted({0, 1, 2, h - 1, h, h + 1}):
+            u = "".join(next(fresh) for _ in range(p))
+            filler = "".join(next(fresh) for _ in range(at))
+            text = filler + u * (b + 1) + u[:tail] + next(fresh) + next(fresh) * b
+            assert len(text) <= 400
+            brute = max_power_exponent_brute(text, len(text) // 2)
+            assert _max_power_exponent(text) == brute == b + 1
+
+    def test_block_scan_on_fixed_points(self):
+        others = [
+            "a -> b c\nb -> a a d\nc -> b b d\nd -> d b b",
+            "a -> e e\nb -> c e\nc -> e a e\nd -> d c\ne -> b d",
+            "a -> e e\nb -> c e\nc -> f e a\nd -> d c\ne -> b f\nf -> e e d",
+            f"a -> {' a' * 20} b\nb -> a",
+            f"a -> {' a' * 65} b\nb -> a",
+            "a -> b b c b\nb -> c c c\nc -> a c b b",
+        ]
+        for m in [*ZOO, zoo.PERIODIC, *map(parse_morphism, others)]:
+            text = fixed_point_prefix(m, 10_000)
+            assert _max_power_exponent(text) == max_power_exponent_reference(text)
 
 
 class TestAperiodicity:
