@@ -6,10 +6,11 @@ and test primitivity with the Wielandt-capped positivity search.
 """
 
 from subrec import (
+    admissible_seeds,
+    build_window,
     extreme_lengths,
     incidence_matrix,
     is_primitive,
-    iterate,
     parse_morphism,
     wielandt_bound,
 )
@@ -33,9 +34,9 @@ for n in (1, 4, 16, 64, 256):
     widest, narrowest = extreme_lengths(fib, n)
     print(f"  |sigma^{n}| = {widest}   <sigma^{n}> = {narrowest}")
 
-print("\niterate() refuses blowups, predicting the length first:")
+print("\nbuild_window() refuses blowups, predicting the length first:")
 try:
-    iterate(fib, fib.encode("a"), 40, cap=10**6)
+    build_window(fib, admissible_seeds(fib)[0], 10**9, max_letters=10**6)
 except SizeExceededError as exc:
     print("  ", exc)
 

@@ -14,6 +14,7 @@ from subrec import (
     return_words,
 )
 from subrec import zoo
+from subrec.language import RECURRENCE_MAX_LEN
 
 for name, m in [("fibonacci", zoo.FIBONACCI), ("thue-morse", zoo.THUE_MORSE), ("tribonacci", zoo.TRIBONACCI)]:
     profile = [complexity(m, n) for n in range(1, 13)]
@@ -21,7 +22,7 @@ for name, m in [("fibonacci", zoo.FIBONACCI), ("thue-morse", zoo.THUE_MORSE), ("
 
 print("\nlength-3 factors of the Thue-Morse language:")
 tm = zoo.THUE_MORSE
-print("  ", sorted(tm.decode(w) for w in factor_language(tm, 3).words))
+print("  ", sorted(tm.decode(w) for w in factor_language(tm, 3)))
 
 print("\nreturn words (heuristic completeness label is part of the result):")
 for text in ("a", "ab"):
@@ -37,11 +38,11 @@ for name, m in [("thue-morse", zoo.THUE_MORSE), ("fibonacci", zoo.FIBONACCI), ("
 
 print("\naperiodicity screening (Morse-Hedlund):")
 for name, m in [("fibonacci", zoo.FIBONACCI), ("periodic", zoo.PERIODIC)]:
-    verdict = aperiodicity_check(m, 50)
+    verdict = aperiodicity_check(m)
     print(f"  {name:11} -> {verdict.kind}" + (f", period {verdict.period}" if verdict.periodic else ""))
 
-estimate = recurrence_constant_empirical(zoo.FIBONACCI, 6)
+estimate = recurrence_constant_empirical(zoo.FIBONACCI)
 print(
-    f"\nempirical recurrence ratio for fibonacci (lengths <= 6): {estimate.ratio}"
+    f"\nempirical recurrence ratio for fibonacci (lengths <= {RECURRENCE_MAX_LEN}): {estimate.ratio}"
     f" at u = {zoo.FIBONACCI.decode(estimate.witness)!r}"
 )

@@ -5,7 +5,7 @@ every preimage level, so image boundaries ("cuts") and preimage letters
 are exact byproducts of the construction, never search results.
 """
 
-from subrec import admissible_seeds, build_window, cut_position, cutting_points
+from subrec import admissible_seeds, build_window, cutting_points
 from subrec import zoo
 
 fib = zoo.FIBONACCI
@@ -14,7 +14,7 @@ print("admissible seeds:", [(s.power, fib.decode(s.left), fib.decode(s.right)) f
 
 w = build_window(fib, seeds[0], 24)
 print(f"window [{w.lo}, {w.hi}), tower depth {w.max_level}")
-print("content around the origin:", fib.decode(w.segment(-8, 8)), "(junction between -1 and 0)")
+print("content around the origin:", fib.decode(w.content[-w.lo - 8 : -w.lo + 8]), "(junction between -1 and 0)")
 
 for p in (1, 2, 3):
     cs = cutting_points(w, p)
@@ -22,9 +22,7 @@ for p in (1, 2, 3):
     print(f"level {p} cuts in [0,16): {visible}")
 
 print("\nthe level map: position of the i-th level-1 boundary")
+cs = cutting_points(w, 1)
+junction = cs.positions.index(0)
 print("  i:", list(range(-4, 5)))
-print("  f:", [cut_position(w, i, 1) for i in range(-4, 5)])
-
-print("\ndump of a tiny window (pos, letter, cut levels):")
-tiny = build_window(fib, seeds[0], 3)
-print(tiny.dump())
+print("  f:", list(cs.positions[junction - 4 : junction + 5]))

@@ -25,8 +25,8 @@ for it in interpretations(fib, fib.encode("aba")):
         f"suffix={fib.decode(it.suffix)!r} cuts={it.cuts}"
     )
 
-print("synchronizing point of 'aba':", synchronizing_point(fib, fib.encode("aba")).positions)
-print("synchronizing point of 'a':  ", synchronizing_point(fib, fib.encode("a")).positions, "(none)")
+print("synchronizing point of 'aba':", synchronizing_point(fib, fib.encode("aba")))
+print("synchronizing point of 'a':  ", synchronizing_point(fib, fib.encode("a")), "(none)")
 
 for name, m in [("fibonacci", fib), ("thue-morse", zoo.THUE_MORSE), ("periodic", per)]:
     result = synchronizing_delay(m, 16)

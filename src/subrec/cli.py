@@ -29,6 +29,7 @@ from .errors import (
 )
 from .fixedpoint import build_window
 from .language import (
+    RECURRENCE_MAX_LEN,
     aperiodicity_check,
     complexity,
     factor_language,
@@ -214,7 +215,6 @@ def analyze(
     m: Morphism,
     radius: int = DEFAULT_RADIUS,
     max_delay: int = DEFAULT_MAX_DELAY,
-    n_report: int = DEFAULT_N_REPORT,
     safe_d: bool = False,
 ) -> AnalysisReport:
     if radius < 1:
@@ -263,11 +263,11 @@ def analyze(
         constants["N"] = big_str(n_exact)
         pf = power_free_index(m)
         constants["k"] = str(pf.k) if pf.kind == "bounded" else pf.kind
-        k_emp = recurrence_constant_empirical(m, 4)
+        k_emp = recurrence_constant_empirical(m)
         constants["K_emp"] = str(k_emp.ratio)
-        warnings.append("K_emp is a lower bound from a length-4 scan")
+        warnings.append(f"K_emp is a lower bound from a length-{RECURRENCE_MAX_LEN} scan")
 
-    lang_profile = [complexity(m, n) for n in range(1, n_report + 1)]
+    lang_profile = [complexity(m, n) for n in range(1, DEFAULT_N_REPORT + 1)]
 
     delay = synchronizing_delay(m, max_delay)
     delay_json = _delay_json(m, delay)
@@ -396,20 +396,20 @@ def _cmd_analyze(args, out) -> int:
 def _cmd_bound(args, out) -> int:
     m = _load(args.file)
     mode = "empirical_exact" if args.mode == "empirical" else "certified"
-    breakdown = recognizability_bound(m, mode, safe_d=args.safe_d)
+    b = recognizability_bound(m, mode, safe_d=args.safe_d)
     if args.json:
-        _emit_json({"maindetail": _breakdown_json(breakdown)}, out)
+        _emit_json({"maindetail": _breakdown_json(b)}, out)
     else:
         print(
-            f"mode={breakdown.mode} N={breakdown.N} k={breakdown.k} d={breakdown.d} "
-            f"R={breakdown.R} Q={_fmt_big_human(breakdown.Q)}",
+            f"mode={b.mode} N={_fmt_big_human(b.N)} k={_fmt_big_human(b.k)} d={b.d} "
+            f"R={_fmt_big_human(b.R)} Q={_fmt_big_human(b.Q)}",
             file=out,
         )
-        if breakdown.bound.exact is not None:
-            print(f"bound = {_fmt_big_human(breakdown.bound.exact)}", file=out)
+        if b.bound.exact is not None:
+            print(f"bound = {_fmt_big_human(b.bound.exact)}", file=out)
         else:
-            print(f"bound ~ 10^{_round_float(breakdown.bound.log10)} ({breakdown.bound.expr})", file=out)
-        for w in breakdown.warnings:
+            print(f"bound ~ 10^{_round_float(b.bound.log10)} ({_shorten_digits(b.bound.expr)})", file=out)
+        for w in b.warnings:
             print(f"warning: {w}", file=out)
     return 0
 
@@ -461,7 +461,7 @@ def _cmd_verify(args, out) -> int:
 
 def _cmd_language(args, out) -> int:
     m = _load(args.file)
-    words = sorted(m.decode(w) for w in factor_language(m, args.n).words)
+    words = sorted(m.decode(w) for w in factor_language(m, args.n))
     if args.json:
         _emit_json({"n": args.n, "count": len(words), "words": words}, out)
     else:

@@ -51,10 +51,6 @@ class InvalidSeedError(InputError):
     """The seed letters are not prolongable at the claimed power."""
 
 
-class OutOfWindowError(InputError):
-    """A position or preimage index falls outside the materialized window."""
-
-
 class LevelUnavailableError(InputError):
     """The window's desubstitution tower does not reach the requested level."""
 

@@ -19,17 +19,9 @@ from .errors import (
     BadParametersError,
     InvalidSeedError,
     LevelUnavailableError,
-    OutOfWindowError,
     SizeExceededError,
 )
-from .morphism import (
-    FixedPointSeed,
-    Morphism,
-    Word,
-    end_letters,
-    extreme_lengths,
-    image_lengths,
-)
+from .morphism import FixedPointSeed, Morphism, Word, end_letters, image_lengths
 
 
 @dataclass(frozen=True)
@@ -62,34 +54,12 @@ class Window:
     def content(self) -> Word:
         return self.tower[0][0] + self.tower[0][1]
 
-    def letter_at(self, position: int) -> str:
-        if not self.lo <= position < self.hi:
-            raise OutOfWindowError(f"position {position} outside [{self.lo}, {self.hi})")
-        return self.content[position - self.lo]
-
-    def segment(self, start: int, stop: int) -> Word:
-        if not (self.lo <= start <= stop <= self.hi):
-            raise OutOfWindowError(f"[{start}, {stop}) outside [{self.lo}, {self.hi})")
-        return self.content[start - self.lo : stop - self.lo]
-
     def preimage_pair(self, p: int) -> tuple[Word, Word]:
         if not 0 <= p <= self.max_level:
             raise LevelUnavailableError(
                 f"level {p} unavailable (tower holds 0..{self.max_level})"
             )
         return self.tower[p]
-
-    def dump(self) -> str:
-        """Debug dump: one line ``pos<TAB>letter<TAB>cutlevels`` per position,
-        listing every level p >= 1 whose cut set contains pos."""
-        levels = []
-        for p in range(1, self.max_level + 1):
-            levels.append(set(cutting_points(self, p).positions))
-        lines = []
-        for pos in range(self.lo, self.hi):
-            at = ",".join(str(p + 1) for p, cuts in enumerate(levels) if pos in cuts)
-            lines.append(f"{pos}\t{self.morphism.letters[ord(self.letter_at(pos))].display}\t{at}")
-        return "\n".join(lines)
 
 
 @dataclass(frozen=True)
@@ -167,32 +137,6 @@ def build_window(
     return Window(m, seed, k, tower)
 
 
-def cut_position(window: Window, i: int, p: int) -> int:
-    """Window position of the i-th level-p image boundary.
-
-    Index i counts level-p preimage letters from the junction: boundary 0
-    sits at position 0, boundary i > 0 after the first i letters of the
-    right preimage ray, boundary i < 0 before the last |i| letters of the
-    left one.  The image of this map, restricted to the window, is exactly
-    the level-p cutting set.
-    """
-    left, right = window.preimage_pair(p)
-    lengths = image_lengths(window.morphism, p)
-    if i >= 0:
-        if i > len(right):
-            raise OutOfWindowError(f"preimage index {i} beyond level-{p} ray")
-        pos = sum(lengths[ord(c)] for c in right[:i])
-        if pos > window.hi:
-            raise OutOfWindowError(f"cut {pos} beyond window end {window.hi}")
-    else:
-        if -i > len(left):
-            raise OutOfWindowError(f"preimage index {i} beyond level-{p} ray")
-        pos = -sum(lengths[ord(c)] for c in left[i:])
-        if pos < window.lo:
-            raise OutOfWindowError(f"cut {pos} before window start {window.lo}")
-    return pos
-
-
 def cutting_points(window: Window, p: int) -> CuttingSet:
     """All level-p cuts in [lo, hi) with their preimage letters, read off
     the stored tower."""
@@ -210,19 +154,3 @@ def cutting_points(window: Window, p: int) -> CuttingSet:
         preimages.append(c)
         pos += lengths[ord(c)]
     return CuttingSet(p, tuple(positions), tuple(preimages))
-
-
-def interpretation_length_bounds(u_len: int, m: Morphism, n: int) -> tuple[int, int]:
-    """Admissible inner-word lengths t for the level-n sandwich
-    sigma^n(v[1..t]) inside sigma^n(u) inside sigma^n(v):
-
-        ceil(<sigma^n> * |u| / |sigma^n|) - 2  <=  t  <=
-        floor(|sigma^n| * |u| / <sigma^n>).
-
-    Raw values are returned (the lower bound may be negative)."""
-    if u_len < 1 or n < 1:
-        raise BadParametersError("u_len and n must be >= 1")
-    widest, narrowest = extreme_lengths(m, n)
-    t_min = -((-narrowest * u_len) // widest) - 2  # exact ceiling division
-    t_max = (widest * u_len) // narrowest
-    return t_min, t_max

@@ -26,22 +26,10 @@ from .morphism import Morphism, Word, end_letters, per_morphism, require_primiti
 DEFAULT_SCAN_LEN = 10_000
 DEFAULT_MAX_K = 64
 DEFAULT_APERIODICITY_N = 200
+RECURRENCE_MAX_LEN = 4  # factor lengths of the empirical recurrence scan
+RETURN_WINDOW_CAP = 1_000_000  # letters of the longest return-word scan window
 # Periods from here on are scanned by aligned blocks (_max_power_exponent).
 BLOCK_SCAN_PERIOD = 64
-
-
-@dataclass(frozen=True)
-class FactorSet:
-    """All factors of a given length, as a frozen set of words."""
-
-    length: int
-    words: frozenset[Word]
-
-    def __len__(self):
-        return len(self.words)
-
-    def __contains__(self, word: Word) -> bool:
-        return word in self.words
 
 
 @dataclass(frozen=True)
@@ -198,11 +186,11 @@ def language_of(m: Morphism) -> FactorLanguage:
     return FactorLanguage(m)
 
 
-def factor_language(m: Morphism, n: int) -> FactorSet:
+def factor_language(m: Morphism, n: int) -> frozenset[Word]:
     """The exact set of length-n factors of the substitution language."""
     if n < 1:
         raise BadParametersError("n must be >= 1")
-    return FactorSet(n, language_of(m).slice(n))
+    return language_of(m).slice(n)
 
 
 def complexity(m: Morphism, n: int) -> int:
@@ -248,7 +236,7 @@ def _occurrences(text: Word, u: Word) -> list[int]:
     return out
 
 
-def return_words(m: Morphism, u: Word, window_cap: int = 1_000_000) -> ReturnWordSet:
+def return_words(m: Morphism, u: Word) -> ReturnWordSet:
     """Return words to u, by scanning fixed-point windows of doubling length.
 
     The scan stops when the set is unchanged across two consecutive
@@ -268,9 +256,9 @@ def return_words(m: Morphism, u: Word, window_cap: int = 1_000_000) -> ReturnWor
     previous: frozenset[Word] | None = None
     stable_streak = 0
     while True:
-        if window > window_cap:
+        if window > RETURN_WINDOW_CAP:
             raise WindowCapExceededError(
-                f"return-word scan needs window > cap {window_cap}"
+                f"return-word scan needs window > cap {RETURN_WINDOW_CAP}"
             )
         text = fixed_point_prefix(m, window)
         pos = _occurrences(text, u)
@@ -292,8 +280,9 @@ def return_words(m: Morphism, u: Word, window_cap: int = 1_000_000) -> ReturnWor
 
 
 @per_morphism
-def aperiodicity_check(m: Morphism, n_max: int = DEFAULT_APERIODICITY_N) -> AperiodicityVerdict:
-    """Morse-Hedlund screening: p(n) <= n for some n forces periodicity.
+def aperiodicity_check(m: Morphism) -> AperiodicityVerdict:
+    """Morse-Hedlund screening to n = DEFAULT_APERIODICITY_N: p(n) <= n for
+    some n forces periodicity.
 
     For a recurrent word the complexity is strictly increasing until it
     stabilizes at the period, so the first n with p(n) <= n already has
@@ -301,12 +290,12 @@ def aperiodicity_check(m: Morphism, n_max: int = DEFAULT_APERIODICITY_N) -> Aper
     not a proof.
     """
     lang = language_of(m)
-    lang.ensure(n_max)
-    for n in range(1, n_max + 1):
+    lang.ensure(DEFAULT_APERIODICITY_N)
+    for n in range(1, DEFAULT_APERIODICITY_N + 1):
         p = lang.complexity(n)
         if p <= n:
-            return AperiodicityVerdict("periodic", p, n_max)
-    return AperiodicityVerdict("aperiodic_upto", None, n_max)
+            return AperiodicityVerdict("periodic", p, DEFAULT_APERIODICITY_N)
+    return AperiodicityVerdict("aperiodic_upto", None, DEFAULT_APERIODICITY_N)
 
 
 def _max_power_exponent(text: Word) -> int:
@@ -371,45 +360,37 @@ def _max_power_exponent(text: Word) -> int:
 
 
 @per_morphism
-def power_free_index(
-    m: Morphism,
-    scan_len: int = DEFAULT_SCAN_LEN,
-    max_k: int = DEFAULT_MAX_K,
-) -> PowerFreeResult:
-    """Smallest k such that no k-th power occurs in the first scan_len
-    letters of the fixed point.
+def power_free_index(m: Morphism) -> PowerFreeResult:
+    """Smallest k such that no k-th power occurs in the first
+    DEFAULT_SCAN_LEN letters of the fixed point; "inconclusive" past
+    DEFAULT_MAX_K.
 
     This is a screen, not a proof: a longer prefix can hold a higher
-    power, so k may grow with scan_len.  Periodic fixed points are
+    power, so k may grow with the scan length.  Periodic fixed points are
     screened out first and reported as "unbounded".
     """
     if aperiodicity_check(m).periodic:
-        return PowerFreeResult("unbounded", None, None, scan_len)
-    text = fixed_point_prefix(m, scan_len)
-    max_exp = _max_power_exponent(text)
-    if max_exp + 1 > max_k:
-        return PowerFreeResult("inconclusive", None, max_exp, scan_len)
-    return PowerFreeResult("bounded", max_exp + 1, max_exp, scan_len)
+        return PowerFreeResult("unbounded", None, None, DEFAULT_SCAN_LEN)
+    max_exp = _max_power_exponent(fixed_point_prefix(m, DEFAULT_SCAN_LEN))
+    if max_exp + 1 > DEFAULT_MAX_K:
+        return PowerFreeResult("inconclusive", None, max_exp, DEFAULT_SCAN_LEN)
+    return PowerFreeResult("bounded", max_exp + 1, max_exp, DEFAULT_SCAN_LEN)
 
 
 @per_morphism
-def recurrence_constant_empirical(
-    m: Morphism, max_len: int, window_cap: int = 1_000_000
-) -> RecurrenceEstimate:
+def recurrence_constant_empirical(m: Morphism) -> RecurrenceEstimate:
     """Lower bound for the linear-recurrence constant K.
 
     Maximizes (longest return word to u) / |u| over all factors u of
-    length <= max_len; exact rational, with the achieving word.
+    length <= RECURRENCE_MAX_LEN; exact rational, with the achieving word.
     """
-    if max_len < 1:
-        raise BadParametersError("max_len must be >= 1")
     if aperiodicity_check(m).periodic:
         raise BadParametersError("recurrence ratio needs an aperiodic fixed point")
     lang = language_of(m)
     best: RecurrenceEstimate | None = None
-    for n in range(1, max_len + 1):
+    for n in range(1, RECURRENCE_MAX_LEN + 1):
         for u in sorted(lang.slice(n)):
-            rws = return_words(m, u, window_cap)
+            rws = return_words(m, u)
             if not rws.returns:
                 continue
             longest = max(rws.returns, key=len)

@@ -28,7 +28,6 @@ from .errors import (
     InputError,
     MorphismSyntaxError,
     NotPrimitiveError,
-    SizeExceededError,
     UnknownLetterError,
 )
 
@@ -283,11 +282,11 @@ def per_morphism(fn):
     again."""
 
     @functools.wraps(fn)
-    def memoized(m: Morphism, *args, **kwargs):
-        key = (fn, args, tuple(sorted(kwargs.items())))
+    def memoized(m: Morphism, *args):
+        key = (fn, args)
         memo = m._memo
         if key not in memo:
-            memo[key] = fn(m, *args, **kwargs)
+            memo[key] = fn(m, *args)
         return memo[key]
 
     return memoized
@@ -314,31 +313,14 @@ def extreme_lengths(m: Morphism, n: int) -> tuple[int, int]:
     return max(sums), min(sums)
 
 
-def _expand(m: Morphism, word: Word, n: int) -> Word:
-    for _ in range(n):
-        word = m.apply(word)
-    return word
-
-
-def iterate(m: Morphism, letter: str, n: int, cap: int) -> Word:
-    """sigma^n(letter), refusing to materialize words longer than cap.
-
-    The length is predicted from the incidence matrix before any expansion,
-    so the error is deterministic and cheap.
-    """
-    if len(letter) != 1 or ord(letter) >= m.size:
-        raise InputError("letter out of range")
-    predicted = image_lengths(m, n)[ord(letter)]
-    if predicted > cap:
-        raise SizeExceededError(predicted, cap)
-    return _expand(m, letter, n)
-
-
 def power(m: Morphism, n: int) -> Morphism:
     """The morphism sigma^n over the same alphabet (n >= 1)."""
     if n < 1:
         raise BadParametersError("power must be >= 1")
-    return Morphism(m.letters, tuple(_expand(m, chr(i), n) for i in range(m.size)))
+    images = m.images
+    for _ in range(n - 1):
+        images = tuple(m.apply(w) for w in images)
+    return Morphism(m.letters, images)
 
 
 def wielandt_bound(dim: int) -> int:
@@ -411,7 +393,7 @@ def admissible_seeds(m: Morphism, max_power: int | None = None) -> list[FixedPoi
 
     from .language import factor_language  # deferred: language builds on this module
 
-    pairs = factor_language(m, 2).words if m.size > 1 else {chr(0) * 2}
+    pairs = factor_language(m, 2) if m.size > 1 else {chr(0) * 2}
     for e in range(1, max_power + 1):
         first_e, last_e = end_letters(m, e)
         lefts = [i for i in range(m.size) if last_e[i] == i]
@@ -427,20 +409,17 @@ def admissible_seeds(m: Morphism, max_power: int | None = None) -> list[FixedPoi
     return []
 
 
-def power_scaled_constant(L: int, k: int, widest: int, allow_limit: bool = False) -> int:
+def power_scaled_constant(L: int, k: int, widest: int) -> int:
     """Scale a level-1 recognizability constant to level k:
     L * (widest^k - 1) / (widest - 1), exactly.
 
     widest == 1 means every image is a single letter and the fixed point is
-    periodic; that degenerate case is rejected unless the caller opts into
-    the limit convention L*k.
+    periodic; that degenerate case is rejected.
     """
     if k < 1:
         raise BadParametersError("k must be >= 1")
     if widest < 1:
         raise BadParametersError("widest must be >= 1")
     if widest == 1:
-        if allow_limit:
-            return L * k
         raise DegenerateWidthError("widest image length is 1 (periodic fixed point)")
     return L * (widest**k - 1) // (widest - 1)

@@ -30,6 +30,7 @@ from .errors import (
 from .fixedpoint import Window, cutting_points
 from .language import (
     DEFAULT_MAX_K,
+    RECURRENCE_MAX_LEN,
     aperiodicity_check,
     language_of,
     power_free_index,
@@ -145,15 +146,6 @@ class Interpretation:
 
 
 @dataclass(frozen=True)
-class SyncPointVerdict:
-    positions: tuple[int, ...]
-
-    @property
-    def synchronized(self) -> bool:
-        return bool(self.positions)
-
-
-@dataclass(frozen=True)
 class SyncResult:
     """Outcome of the delay search.
 
@@ -204,8 +196,9 @@ def interpretations(m: Morphism, u: Word) -> tuple[Interpretation, ...]:
     return tuple(found[key] for key in sorted(found))
 
 
-def synchronizing_point(m: Morphism, u: Word, interior_only: bool = False) -> SyncPointVerdict:
-    """Positions k where every interpretation of u places an image boundary.
+def synchronizing_point(m: Morphism, u: Word, interior_only: bool = False) -> tuple[int, ...]:
+    """Positions k where every interpretation of u places an image boundary,
+    in ascending order; empty when u is not synchronized.
 
     k ranges over 1..|u|; the boundary k = |u| (suffix aligned with a full
     image) is allowed unless interior_only restricts to 1..|u|-1.
@@ -219,7 +212,7 @@ def synchronizing_point(m: Morphism, u: Word, interior_only: bool = False) -> Sy
             break
     if interior_only:
         common -= {len(u)}
-    return SyncPointVerdict(tuple(sorted(common)))
+    return tuple(sorted(common))
 
 
 def synchronizing_delay(
@@ -511,8 +504,8 @@ def recognizability_bound(
         k = pf.k
         n_value, n_warnings = exact_ratio_constant(m)
         warnings.extend(n_warnings)
-        k_ratio: Fraction | int = recurrence_constant_empirical(m, 4).ratio
-        warnings.append("K is an empirical lower bound (scan up to length 4)")
+        k_ratio: Fraction | int = recurrence_constant_empirical(m).ratio
+        warnings.append(f"K is an empirical lower bound (scan up to length {RECURRENCE_MAX_LEN})")
     elif mode == "certified":
         certs = certified_constants(m)
         k = certs.k_cert

@@ -13,6 +13,11 @@ FIB_TEXT = "a -> a b\nb -> a\n"
 TM_TEXT = "a -> a b\nb -> b a\n"
 PER_TEXT = "a -> a b\nb -> a b\n"
 LONG_A_TEXT = f"a -> {' a' * 65} b\nb -> a\n"  # a 66-th power within 10,000 letters
+# 12-uniform on four letters: the certified R has 88 digits
+U12_TEXT = (
+    "a -> a b a c a d b b c a d a\nb -> b c b a d d a c b a b c\n"
+    "c -> c d a b c a d b c c a b\nd -> d a c b d b a c d a c d\n"
+)
 
 SCHEMA_KEYS = {
     "alphabet", "rules", "primitive", "seeds", "constants",
@@ -104,6 +109,21 @@ class TestSubcommands:
         assert code == 0
         assert "R=24" in out and "Q=31201" in out
         assert "<6523 digits" in out
+
+    def test_bound_human_shortens_long_numbers(self, morph_file):
+        code, out, _ = invoke(
+            ["bound", morph_file("a65.morph", LONG_A_TEXT), "--mode", "certified"]
+        )
+        assert code == 0
+        line = next(x for x in out.splitlines() if x.startswith("bound ~ 10^"))
+        assert line.endswith("*|sigma^<178 digits, leading 164738530287...>| + |sigma^1|)")
+        code, out, _ = invoke(
+            ["bound", morph_file("u12.morph", U12_TEXT), "--mode", "certified"]
+        )
+        assert code == 0
+        assert " R=<88 digits, leading 518454830882...> " in out
+        assert "(<88 digits, leading 518454830882...>*|sigma^<404 digits" in out
+        assert not re.search(r"\d{81}", out)
 
     def test_bound_certified_json(self, morph_file):
         code, out, _ = invoke(

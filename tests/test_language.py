@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from subrec import (
     recurrence_constant_empirical,
     return_words,
 )
-from subrec import certified_constants, zoo
+from subrec import certified_constants, language, zoo
 from subrec.errors import NotAFactorError, NotPrimitiveError, WindowCapExceededError
 from subrec.language import BLOCK_SCAN_PERIOD, FactorLanguage, _max_power_exponent
 from subrec.morphism import parse_morphism
@@ -44,11 +45,11 @@ def decoded(m, words):
 
 class TestFactorLanguage:
     def test_fib_small(self, fib):
-        assert decoded(fib, factor_language(fib, 1).words) == ["a", "b"]
-        assert decoded(fib, factor_language(fib, 2).words) == ["aa", "ab", "ba"]
+        assert decoded(fib, factor_language(fib, 1)) == ["a", "b"]
+        assert decoded(fib, factor_language(fib, 2)) == ["aa", "ab", "ba"]
 
     def test_tm_two(self, tm):
-        assert decoded(tm, factor_language(tm, 2).words) == ["aa", "ab", "ba", "bb"]
+        assert decoded(tm, factor_language(tm, 2)) == ["aa", "ab", "ba", "bb"]
 
     def test_requires_primitive(self):
         m = parse_morphism("a -> a b\nb -> b")
@@ -59,7 +60,7 @@ class TestFactorLanguage:
     def test_window_oracle_equivalence(self, n):
         for m, rules in RULED:
             window = prefix(rules, 10_000)
-            assert decoded(m, factor_language(m, n).words) == sorted(
+            assert decoded(m, factor_language(m, n)) == sorted(
                 distinct_factors(window, n)
             )
 
@@ -84,8 +85,8 @@ class TestFactorLanguage:
     def test_extension_closure(self):
         for m in ZOO:
             for n in range(1, 13):
-                here = factor_language(m, n).words
-                above = factor_language(m, n + 1).words
+                here = factor_language(m, n)
+                above = factor_language(m, n + 1)
                 rights = {w[:-1] for w in above}
                 lefts = {w[1:] for w in above}
                 assert here <= rights
@@ -147,7 +148,7 @@ class TestReturnWords:
                 u = m.encode(u_text)
                 for r in return_words(m, u).returns:
                     ru = r + u
-                    assert ru in factor_language(m, len(ru)).words
+                    assert ru in factor_language(m, len(ru))
                     assert ru.startswith(u)
                     count = sum(
                         1 for i in range(len(ru) - len(u) + 1) if ru[i : i + len(u)] == u
@@ -158,31 +159,34 @@ class TestReturnWords:
         with pytest.raises(NotAFactorError):
             return_words(fib, fib.encode("bb"))
 
-    def test_window_cap(self, fib):
+    def test_window_cap(self, fib, monkeypatch):
+        monkeypatch.setattr(language, "RETURN_WINDOW_CAP", 32)
         with pytest.raises(WindowCapExceededError):
-            return_words(fib, fib.encode("a"), window_cap=32)
+            return_words(fib, fib.encode("a"))
 
 
 class TestPowerFreeIndex:
     def test_tm(self, tm):
-        result = power_free_index(tm, scan_len=4000)
+        result = power_free_index(tm)
         assert result.kind == "bounded" and result.k == 3
 
     def test_fib(self, fib):
-        result = power_free_index(fib, scan_len=4000)
+        result = power_free_index(fib)
         assert result.k == 4
 
     def test_periodic_is_unbounded(self, per):
         assert power_free_index(per).kind == "unbounded"
 
-    def test_max_k_exceeded(self, fib):
-        assert power_free_index(fib, scan_len=2000, max_k=2).kind == "inconclusive"
+    def test_max_k_exceeded(self):
+        # a 66-th power within the first 10,000 letters: past max_k = 64
+        m = parse_morphism(f"a -> {' a' * 65} b\nb -> a")
+        assert power_free_index(m).kind == "inconclusive"
 
     def test_oracle_agreement(self):
         for m, rules in RULED:
-            window = prefix(rules, 1200)
+            window = prefix(rules, language.DEFAULT_SCAN_LEN)
             brute = max_power_exponent_brute(window, 60)
-            assert power_free_index(m, scan_len=1200).k == brute + 1
+            assert power_free_index(m).k == brute + 1
 
     # largest letters needing one, two and three bytes, chr(300) and up among them
     @pytest.mark.parametrize("first,size", [(0, 2), (0, 3), (0, 256), (300, 3), (0, 300), (0, 70_000)])
@@ -246,28 +250,34 @@ class TestPowerFreeIndex:
 
 class TestAperiodicity:
     def test_periodic_pair(self, per):
-        verdict = aperiodicity_check(per, 10)
+        verdict = aperiodicity_check(per)
         assert verdict.periodic and verdict.period == 2
 
     def test_aperiodic_screenings(self, fib, tm):
         for m in (fib, tm):
-            verdict = aperiodicity_check(m, 50)
-            assert verdict.kind == "aperiodic_upto" and verdict.n_max == 50
+            verdict = aperiodicity_check(m)
+            assert verdict.kind == "aperiodic_upto" and verdict.n_max == 200
 
 
 class TestRecurrenceConstant:
+    # The estimate is memoized on the morphism, so a scan length other than
+    # RECURRENCE_MAX_LEN runs on a copy with an empty memo.
+
     def test_fib_length_one(self, fib):
-        # return words to b are {ba, baa}: the ratio at length 1 is 3
-        estimate = recurrence_constant_empirical(fib, 1)
+        # return words to b are {ba, baa}: the ratio at length 1 is 3, and no
+        # longer factor up to RECURRENCE_MAX_LEN beats it
+        estimate = recurrence_constant_empirical(fib)
         assert estimate.ratio == Fraction(3)
         assert fib.decode(estimate.witness) == "b"
 
-    def test_tm_length_one(self, tm):
-        estimate = recurrence_constant_empirical(tm, 1)
+    def test_tm_length_one(self, tm, monkeypatch):
+        monkeypatch.setattr(language, "RECURRENCE_MAX_LEN", 1)
+        estimate = recurrence_constant_empirical(copy.copy(tm))
         assert estimate.ratio == Fraction(3)
 
-    def test_fib_length_eight_band(self, fib):
-        estimate = recurrence_constant_empirical(fib, 8)
+    def test_fib_length_eight_band(self, fib, monkeypatch):
+        monkeypatch.setattr(language, "RECURRENCE_MAX_LEN", 8)
+        estimate = recurrence_constant_empirical(copy.copy(fib))
         assert Fraction(2) <= estimate.ratio < Fraction(6)
 
     def test_power_free_consistency(self):

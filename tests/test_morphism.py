@@ -5,11 +5,11 @@ from hypothesis import given, strategies as st
 
 from subrec import (
     admissible_seeds,
+    build_window,
     extreme_lengths,
     image_lengths,
     incidence_matrix,
     is_primitive,
-    iterate,
     parse_morphism,
     power,
     power_scaled_constant,
@@ -111,15 +111,16 @@ class TestApply:
 
 class TestIterate:
     def test_two_steps(self, fib):
-        assert fib.decode(iterate(fib, fib.encode("a"), 2, 100)) == "aba"
-
-    def test_zero_steps_is_identity(self, fib):
-        assert fib.decode(iterate(fib, fib.encode("a"), 0, 100)) == "a"
+        assert fib.decode(power(fib, 2).images[0]) == "aba"
 
     def test_cap_uses_predicted_length(self, fib):
+        # both rays of the window a.a grow one sigma-step at a time; the
+        # step to sigma^27(a) on each side, 2 F(29) letters, is the first
+        # past the cap and is refused with its length read off the matrix
+        seed = admissible_seeds(fib)[0]
         with pytest.raises(SizeExceededError) as exc:
-            iterate(fib, fib.encode("a"), 40, 10**6)
-        assert exc.value.needed == 267914296
+            build_window(fib, seed, 10**9, max_letters=10**6)
+        assert exc.value.needed == 2 * 514229
 
     @pytest.mark.parametrize("n", range(0, 11))
     def test_matrix_word_agreement(self, n):
@@ -217,11 +218,10 @@ class TestSeeds:
 
         for m in ZOO:
             for seed in admissible_seeds(m):
-                left_img = iterate(power(m, seed.power), seed.left, 1, 10**6)
-                right_img = iterate(power(m, seed.power), seed.right, 1, 10**6)
-                assert left_img.endswith(seed.left)
-                assert right_img.startswith(seed.right)
-                assert seed.left + seed.right in factor_language(m, 2).words
+                images = power(m, seed.power).images
+                assert images[ord(seed.left)].endswith(seed.left)
+                assert images[ord(seed.right)].startswith(seed.right)
+                assert seed.left + seed.right in factor_language(m, 2)
 
 
 class TestPowerScaledConstant:
@@ -233,4 +233,3 @@ class TestPowerScaledConstant:
     def test_degenerate_width(self):
         with pytest.raises(DegenerateWidthError):
             power_scaled_constant(3, 2, 1)
-        assert power_scaled_constant(3, 2, 1, allow_limit=True) == 6

@@ -139,7 +139,7 @@ class TestInterpretations:
 
     def test_cut_zero_iff_empty_prefix(self):
         for m, rules in RULED:
-            for u in sorted(factor_language(m, 3).words):
+            for u in sorted(factor_language(m, 3)):
                 for interp in interpretations(m, u):
                     assert (0 in interp.cuts) == (interp.prefix == "")
 
@@ -166,8 +166,8 @@ class TestFirstImagePass:
                 ]
                 assert got == interps, u
                 for interior_only in (False, True):
-                    verdict = synchronizing_point(m, m.encode(u), interior_only)
-                    assert verdict.positions == sync_points_reference(interps, n, interior_only)
+                    points = synchronizing_point(m, m.encode(u), interior_only)
+                    assert points == sync_points_reference(interps, n, interior_only)
         for interior_only in (False, True):
             result = synchronizing_delay(m, 16, interior_only)
             delay, per_length, periodic = delay_reference(rules, 16, interior_only, factors)
@@ -187,19 +187,19 @@ class TestFirstImagePass:
 
 class TestSynchronizingPoint:
     def test_fib_aba_strict(self, fib):
-        assert synchronizing_point(fib, fib.encode("aba")).positions == (2,)
+        assert synchronizing_point(fib, fib.encode("aba")) == (2,)
 
     def test_fib_single_letter_unsynchronized(self, fib):
-        assert not synchronizing_point(fib, fib.encode("a")).synchronized
+        assert synchronizing_point(fib, fib.encode("a")) == ()
 
     def test_tm_abba(self, tm):
-        assert synchronizing_point(tm, tm.encode("abba")).positions == (2, 4)
+        assert synchronizing_point(tm, tm.encode("abba")) == (2, 4)
 
     def test_interior_only_flag(self, fib):
         full = synchronizing_point(fib, fib.encode("ab"))
         interior = synchronizing_point(fib, fib.encode("ab"), interior_only=True)
-        assert full.positions == (2,)
-        assert interior.positions == ()
+        assert full == (2,)
+        assert interior == ()
 
 
 class TestSynchronizingDelay:
@@ -224,8 +224,8 @@ class TestSynchronizingDelay:
         for m, _ in RULED[:3]:
             all_sync_seen = False
             for n in range(1, 13):
-                words = sorted(factor_language(m, n).words)
-                all_sync = all(synchronizing_point(m, u).synchronized for u in words)
+                words = sorted(factor_language(m, n))
+                all_sync = all(synchronizing_point(m, u) for u in words)
                 if all_sync_seen:
                     assert all_sync
                 all_sync_seen = all_sync_seen or all_sync
