@@ -43,6 +43,6 @@ except SizeExceededError as exc:
 print("\nprimitivity with smallest positivity witness:")
 for text in ("a -> a b\nb -> a", "a -> b c\nb -> b c\nc -> a b", "a -> a b\nb -> b"):
     m = parse_morphism(text)
-    verdict = is_primitive(incidence_matrix(m))
-    label = f"witness {verdict.witness}" if verdict.primitive else "not primitive"
+    witness = is_primitive(incidence_matrix(m))
+    label = f"witness {witness}" if witness else "not primitive"
     print(f"  {text.replace(chr(10), ', '):32} -> {label} (cap {wielandt_bound(m.size)})")

@@ -14,7 +14,7 @@ from subrec import (
     return_words,
 )
 from subrec import zoo
-from subrec.language import RECURRENCE_MAX_LEN
+from subrec.language import DEFAULT_APERIODICITY_N, RECURRENCE_MAX_LEN
 
 for name, m in [("fibonacci", zoo.FIBONACCI), ("thue-morse", zoo.THUE_MORSE), ("tribonacci", zoo.TRIBONACCI)]:
     profile = [complexity(m, n) for n in range(1, 13)]
@@ -38,8 +38,9 @@ for name, m in [("thue-morse", zoo.THUE_MORSE), ("fibonacci", zoo.FIBONACCI), ("
 
 print("\naperiodicity screening (Morse-Hedlund):")
 for name, m in [("fibonacci", zoo.FIBONACCI), ("periodic", zoo.PERIODIC)]:
-    verdict = aperiodicity_check(m)
-    print(f"  {name:11} -> {verdict.kind}" + (f", period {verdict.period}" if verdict.periodic else ""))
+    period = aperiodicity_check(m)
+    shown = f"periodic, period {period}" if period else f"aperiodic up to n={DEFAULT_APERIODICITY_N}"
+    print(f"  {name:11} -> {shown}")
 
 estimate = recurrence_constant_empirical(zoo.FIBONACCI)
 print(

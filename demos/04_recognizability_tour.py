@@ -30,13 +30,12 @@ print("synchronizing point of 'a':  ", synchronizing_point(fib, fib.encode("a"))
 
 for name, m in [("fibonacci", fib), ("thue-morse", zoo.THUE_MORSE), ("periodic", per)]:
     result = synchronizing_delay(m, 16)
-    shown = result.delay if result.delay is not None else f"none (<= {result.n_max})"
+    shown = result.delay if result.delay is not None else "none (<= 16)"
     print(f"synchronizing delay, {name:11}: {shown}")
 
 print("\nkernel chains (injectivity exponents):")
 for name, m in [("fibonacci", fib), ("collapsing", zoo.COLLAPSING)]:
-    chain = injectivity_exponent(m)
-    print(f"  {name:11} d = {chain.d}, safe d = {chain.d_safe}")
+    print(f"  {name:11} d = {injectivity_exponent(m)}, safe d = {m.size}")
 
 print("\nwindow verification on fibonacci (radius 1000):")
 w = build_window(fib, admissible_seeds(fib)[0], 1000)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import sys
+from decimal import Decimal
 
 
 def int_log10(x: int) -> float:
@@ -14,6 +15,19 @@ def int_log10(x: int) -> float:
         return math.log10(x)
     shift = x.bit_length() - 53
     return math.log10(x >> shift) + shift * math.log10(2)
+
+
+def log10_line(start: float, steps: int, rate: float, end: float = 0.0) -> float | Decimal:
+    """start + steps * rate + end, for the log10 of a number too large to
+    build: a float while that is finite, past float range a Decimal (28
+    significant digits) from the exact steps."""
+    try:
+        value = start + float(steps) * rate + end
+    except OverflowError:
+        value = math.inf
+    if math.isfinite(value):
+        return value
+    return Decimal(start) + steps * Decimal(rate) + Decimal(end)
 
 
 def digits10(x: int) -> int:

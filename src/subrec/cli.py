@@ -6,8 +6,9 @@ delay search is still a valid run), 2 input error, 3 resource cap exceeded.
 
 JSON output is deterministic: keys sorted, big integers as decimal strings,
 logarithmic values as {"log10": float, "expr": str} with floats rounded to
-12 significant digits.  Every heuristic verdict in a report is paired with
-a warning entry.
+12 significant digits (a log10 past float range is a string in the same
+notation).  Every heuristic verdict in a report is paired with a warning
+entry.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import asdict, dataclass, fields
+from decimal import Decimal
 from pathlib import Path
 
 from .bignum import big_str, digits10
@@ -29,6 +30,7 @@ from .errors import (
 )
 from .fixedpoint import build_window
 from .language import (
+    DEFAULT_APERIODICITY_N,
     RECURRENCE_MAX_LEN,
     aperiodicity_check,
     complexity,
@@ -70,7 +72,10 @@ DEFAULT_MAX_LETTERS = 2_000_000
 FULL_PRINT_DIGITS = 80
 
 
-def _round_float(x: float) -> float:
+def _log10_json(x: float | Decimal) -> float | str:
+    """x to 12 significant digits: a float, or past float range a string."""
+    if isinstance(x, Decimal):
+        return f"{x:.12g}"
     return float(f"{x:.12g}")
 
 
@@ -89,7 +94,7 @@ def _shorten_digits(expr: str) -> str:
 def _big_value_json(v: BigValue):
     if v.exact is not None:
         return big_str(v.exact)
-    return {"expr": v.expr, "log10": _round_float(v.log10)}
+    return {"expr": v.expr, "log10": _log10_json(v.log10)}
 
 
 def _breakdown_json(b: BoundBreakdown) -> dict:
@@ -103,7 +108,7 @@ def _breakdown_json(b: BoundBreakdown) -> dict:
         "Q": big_str(b.Q),
         "M": _big_value_json(b.M),
         "bound": _big_value_json(b.bound),
-        "log10": _round_float(b.bound.log10),
+        "log10": _log10_json(b.bound.log10),
         "warnings": list(b.warnings),
     }
     if b.bound.exact is not None:
@@ -118,80 +123,57 @@ def _seeds_json(m: Morphism, seeds: list[FixedPointSeed]) -> dict:
     }
 
 
-def _delay_json(m: Morphism, result: SyncResult) -> dict:
+def _delay_json(m: Morphism, result: SyncResult, n_max: int) -> dict:
     return {
         "C": result.delay,
-        "L_from_C": result.L_from_C,
-        "n_max": result.n_max,
+        "L_from_C": None if result.delay is None else result.delay // 2,
+        "n_max": n_max,
         "failures": [[n, [m.decode(u) for u in bad]] for n, bad in result.per_length if bad],
     }
 
 
-@dataclass
-class AnalysisReport:
-    """Plain-data report: every field is already JSON-shaped, so the
-    round trip parse(emit(report)) == report is exact."""
-
-    alphabet: list
-    rules: list
-    primitive: dict
-    seeds: dict
-    constants: dict
-    complexity: list
-    delay: dict
-    empirical: dict | None
-    bounds: dict
-    warnings: list
-
-
-def emit_report(report: AnalysisReport, as_json: bool) -> str:
+def emit_report(report: dict, as_json: bool) -> str:
+    """The report of :func:`analyze` as JSON, or as text for humans."""
     if as_json:
-        return json.dumps(asdict(report), sort_keys=True, indent=2)
+        return json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
     return _human_report(report)
 
 
-def report_from_json(text: str) -> AnalysisReport:
-    data = json.loads(text)
-    names = {f.name for f in fields(AnalysisReport)}
-    if set(data) != names:
-        raise InputError(f"report keys {sorted(data)} do not match schema")
-    return AnalysisReport(**data)
-
-
-def _human_report(report: AnalysisReport) -> str:
+def _human_report(report: dict) -> str:
     lines = []
     lines.append("morphism")
-    for rule in report.rules:
+    for rule in report["rules"]:
         lines.append(f"  {rule}")
-    prim = report.primitive
+    prim = report["primitive"]
     lines.append(f"primitive            {prim['is']}" + (
         f" (witness power {prim['witness']})" if prim["is"] else ""))
-    if report.seeds["pairs"]:
-        pairs = ", ".join(f"{a}.{b}" for a, b in report.seeds["pairs"])
-        lines.append(f"seeds                power {report.seeds['power']}: {pairs}")
+    seeds = report["seeds"]
+    if seeds["pairs"]:
+        pairs = ", ".join(f"{a}.{b}" for a, b in seeds["pairs"])
+        lines.append(f"seeds                power {seeds['power']}: {pairs}")
     else:
         lines.append("seeds                none found")
     lines.append("constants")
     for key in ("widest", "narrowest", "N", "k", "K_emp", "K_cert", "d", "d_safe"):
-        value = report.constants.get(key)
+        value = report["constants"].get(key)
         if value is None:
             continue
         shown = _fmt_big_human(int(value)) if isinstance(value, str) and value.isdigit() else value
         lines.append(f"  {key:<18} {shown}")
-    lines.append(f"complexity p(1..)    {' '.join(str(p) for p in report.complexity)}")
-    delay = report.delay
+    lines.append(f"complexity p(1..)    {' '.join(str(p) for p in report['complexity'])}")
+    delay = report["delay"]
     if delay.get("C") is not None:
         lines.append(f"delay                C={delay['C']}  L_from_C={delay['L_from_C']}")
     else:
         lines.append(f"delay                none up to n={delay.get('n_max')}")
-    if report.empirical is not None:
-        emp = report.empirical
+    emp = report["empirical"]
+    if emp is not None:
         heuristic = emp["L_heuristic"] if emp["L_heuristic"] is not None else "none"
         lines.append(
             f"empirical constant   lower {emp['L_lower']}, heuristic {heuristic}"
             f" (radius {emp['radius']})"
         )
-    for name, payload in sorted(report.bounds.items()):
+    for name, payload in sorted(report["bounds"].items()):
         if isinstance(payload, dict):
             value = payload.get("bound", payload.get("value"))
             expr = _shorten_digits(value["expr"]) if isinstance(value, dict) else ""
@@ -204,9 +186,9 @@ def _human_report(report: AnalysisReport) -> str:
         else:
             lines.append(f"bound {name:<20} {payload}")
     lines.append("warnings")
-    for w in report.warnings:
+    for w in report["warnings"]:
         lines.append(f"  - {w}")
-    if not report.warnings:
+    if not report["warnings"]:
         lines.append("  (none)")
     return "\n".join(lines)
 
@@ -216,48 +198,51 @@ def analyze(
     radius: int = DEFAULT_RADIUS,
     max_delay: int = DEFAULT_MAX_DELAY,
     safe_d: bool = False,
-) -> AnalysisReport:
+) -> dict:
+    """The full report, already JSON-shaped: emit_report renders it."""
     if radius < 1:
         raise BadParametersError("radius must be >= 1")
     warnings: list[str] = []
-    alphabet = [letter.display for letter in m.letters]
-    rules = m.rules_text().splitlines()
-    prim = primitivity(m)
-    primitive = {"is": prim.primitive, "witness": prim.witness}
+    witness = primitivity(m)
+    report = {
+        "alphabet": list(m.letters),
+        "rules": m.rules_text().splitlines(),
+        "primitive": {"is": witness is not None, "witness": witness},
+        "warnings": warnings,
+    }
 
-    if not prim.primitive:
+    if witness is None:
         warnings.append("morphism is not primitive; analysis limited to the matrix")
-        return AnalysisReport(
-            alphabet, rules, primitive,
-            {"power": None, "pairs": []},
-            {"widest": str(m.widest), "narrowest": str(m.narrowest)},
-            [], {"C": None, "L_from_C": None, "n_max": 0, "failures": []},
-            None, {}, warnings,
-        )
+        return report | {
+            "seeds": {"power": None, "pairs": []},
+            "constants": {"widest": str(m.widest), "narrowest": str(m.narrowest)},
+            "complexity": [],
+            "delay": {"C": None, "L_from_C": None, "n_max": 0, "failures": []},
+            "empirical": None,
+            "bounds": {},
+        }
 
     seeds = admissible_seeds(m)
-    seeds_json = _seeds_json(m, seeds)
+    report["seeds"] = _seeds_json(m, seeds)
     if not seeds:
         warnings.append(
             f"no admissible seed up to the power cap {default_seed_power_cap(m)}"
         )
 
-    screening = aperiodicity_check(m)
-    if screening.periodic:
-        warnings.append(f"fixed point is periodic with period {screening.period}")
+    period = aperiodicity_check(m)
+    if period is not None:
+        warnings.append(f"fixed point is periodic with period {period}")
     else:
-        warnings.append(f"aperiodicity screened to n={screening.n_max}, not proven")
+        warnings.append(f"aperiodicity screened to n={DEFAULT_APERIODICITY_N}, not proven")
 
-    chain = injectivity_exponent(m)
-    certs = certified_constants(m)
-    constants = {
+    constants = report["constants"] = {
         "widest": str(m.widest),
         "narrowest": str(m.narrowest),
-        "K_cert": big_str(certs.K_cert),
-        "d": chain.d,
-        "d_safe": chain.d_safe,
+        "K_cert": big_str(certified_constants(m).K_cert),
+        "d": injectivity_exponent(m),
+        "d_safe": m.size,
     }
-    if not screening.periodic:
+    if period is None:
         n_exact, n_warnings = exact_ratio_constant(m)
         warnings.extend(n_warnings)
         constants["N"] = big_str(n_exact)
@@ -267,23 +252,23 @@ def analyze(
         constants["K_emp"] = str(k_emp.ratio)
         warnings.append(f"K_emp is a lower bound from a length-{RECURRENCE_MAX_LEN} scan")
 
-    lang_profile = [complexity(m, n) for n in range(1, DEFAULT_N_REPORT + 1)]
+    report["complexity"] = [complexity(m, n) for n in range(1, DEFAULT_N_REPORT + 1)]
 
     delay = synchronizing_delay(m, max_delay)
-    delay_json = _delay_json(m, delay)
+    report["delay"] = _delay_json(m, delay, max_delay)
     if delay.screened_periodic:
         warnings.append("delay search skipped: periodic fixed points are never circular")
     elif delay.delay is None:
-        warnings.append(f"no synchronizing delay up to n={delay.n_max}")
+        warnings.append(f"no synchronizing delay up to n={max_delay}")
 
-    empirical = None
+    report["empirical"] = None
     if seeds:
         # Level 1 and one letter past |sigma| on each side: enough for L = 0.
         window = build_window(
             m, seeds[0], max(radius, m.widest + 1), min_level=1, max_letters=DEFAULT_MAX_LETTERS
         )
         result = minimal_constant_empirical(window, 1, DEFAULT_L_MAX)
-        empirical = {
+        report["empirical"] = {
             "L_lower": result.certified_lower,
             "L_heuristic": result.heuristic,
             "radius": radius,
@@ -296,8 +281,8 @@ def analyze(
         else:
             warnings.append("heuristic constant is window-relative")
 
-    bounds: dict = {}
-    if not screening.periodic:
+    bounds = report["bounds"] = {}
+    if period is None:
         try:
             breakdown = recognizability_bound(m, "empirical_exact", safe_d=safe_d)
         except PowerIndexCapExceededError as exc:
@@ -312,17 +297,13 @@ def analyze(
             "exponent": big_str(cf.exponent),
             "addend_power": cf.addend_power,
             "value": _big_value_json(cf.value),
-            "log10": _round_float(cf.value.log10),
+            "log10": _log10_json(cf.value.log10),
         }
         if m.size == 2 and len(set(len(im) for im in m.images)) == 1 and m.widest >= 2:
             bounds["klouda_medkova"] = klouda_medkova_bound(m.widest)
     else:
         warnings.append("bounds undefined: the fixed point is periodic")
-
-    return AnalysisReport(
-        alphabet, rules, primitive, seeds_json, constants,
-        lang_profile, delay_json, empirical, bounds, warnings,
-    )
+    return report
 
 
 def _load(path: str) -> Morphism:
@@ -334,7 +315,7 @@ def _load(path: str) -> Morphism:
 
 
 def _emit_json(payload, out):
-    print(json.dumps(payload, sort_keys=True, indent=2), file=out)
+    print(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False), file=out)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -408,7 +389,7 @@ def _cmd_bound(args, out) -> int:
         if b.bound.exact is not None:
             print(f"bound = {_fmt_big_human(b.bound.exact)}", file=out)
         else:
-            print(f"bound ~ 10^{_round_float(b.bound.log10)} ({_shorten_digits(b.bound.expr)})", file=out)
+            print(f"bound ~ 10^{_log10_json(b.bound.log10)} ({_shorten_digits(b.bound.expr)})", file=out)
         for w in b.warnings:
             print(f"warning: {w}", file=out)
     return 0
@@ -418,12 +399,13 @@ def _cmd_delay(args, out) -> int:
     m = _load(args.file)
     result = synchronizing_delay(m, args.max)
     if args.json:
-        _emit_json(_delay_json(m, result) | {"screened_periodic": result.screened_periodic}, out)
+        payload = _delay_json(m, result, args.max) | {"screened_periodic": result.screened_periodic}
+        _emit_json(payload, out)
     elif result.delay is not None:
-        print(f"C={result.delay} L_from_C={result.L_from_C}", file=out)
+        print(f"C={result.delay} L_from_C={result.delay // 2}", file=out)
     else:
         reason = "periodic fixed point" if result.screened_periodic else "not reached"
-        print(f"C=none up to n={result.n_max} ({reason})", file=out)
+        print(f"C=none up to n={args.max} ({reason})", file=out)
     return 0 if result.delay is not None else 1
 
 

@@ -70,7 +70,6 @@ class CuttingSet:
     positions are sorted, cover [lo, hi), and include 0 (the junction).
     """
 
-    p: int
     positions: tuple[int, ...]
     preimages: tuple[str, ...]
 
@@ -85,11 +84,11 @@ def _validate_seed(m: Morphism, seed: FixedPointSeed):
     a, b = ord(seed.left), ord(seed.right)
     if last[a] != a:
         raise InvalidSeedError(
-            f"sigma^{seed.power}({m.letters[a].display}) does not end with it"
+            f"sigma^{seed.power}({m.letters[a]}) does not end with it"
         )
     if first[b] != b:
         raise InvalidSeedError(
-            f"sigma^{seed.power}({m.letters[b].display}) does not start with it"
+            f"sigma^{seed.power}({m.letters[b]}) does not start with it"
         )
     if m.widest == 1:
         raise InvalidSeedError("images of length 1 only: no growing fixed point")
@@ -153,4 +152,4 @@ def cutting_points(window: Window, p: int) -> CuttingSet:
         positions.append(pos)
         preimages.append(c)
         pos += lengths[ord(c)]
-    return CuttingSet(p, tuple(positions), tuple(preimages))
+    return CuttingSet(tuple(positions), tuple(preimages))

@@ -5,7 +5,8 @@ a monotone closure map (seeded from the image of one letter; for a
 primitive morphism any nonempty seed closes to the whole slice), not by
 scanning a finite window and hoping it was long enough.  Window scans are
 used only where the result is explicitly labeled heuristic (return-word
-completeness) or where the window provably suffices.
+completeness) or where the window provably suffices.  The aperiodicity
+screen returns the period it finds, or None when it finds none.
 """
 
 from __future__ import annotations
@@ -51,22 +52,10 @@ class RecurrenceEstimate:
 
 
 @dataclass(frozen=True)
-class AperiodicityVerdict:
-    kind: Literal["periodic", "aperiodic_upto"]
-    period: int | None
-    n_max: int
-
-    @property
-    def periodic(self) -> bool:
-        return self.kind == "periodic"
-
-
-@dataclass(frozen=True)
 class PowerFreeResult:
     kind: Literal["bounded", "unbounded", "inconclusive"]
     k: int | None
     max_exponent: int | None
-    scan_len: int
 
 
 class FactorLanguage:
@@ -280,22 +269,22 @@ def return_words(m: Morphism, u: Word) -> ReturnWordSet:
 
 
 @per_morphism
-def aperiodicity_check(m: Morphism) -> AperiodicityVerdict:
-    """Morse-Hedlund screening to n = DEFAULT_APERIODICITY_N: p(n) <= n for
-    some n forces periodicity.
+def aperiodicity_check(m: Morphism) -> int | None:
+    """The period of the fixed point, or None when Morse-Hedlund screening
+    to n = DEFAULT_APERIODICITY_N finds none: p(n) <= n for some n forces
+    periodicity.
 
     For a recurrent word the complexity is strictly increasing until it
     stabilizes at the period, so the first n with p(n) <= n already has
-    p(n) equal to the period.  "aperiodic_upto" is a screening verdict,
-    not a proof.
+    p(n) equal to the period.  None is a screening verdict, not a proof.
     """
     lang = language_of(m)
     lang.ensure(DEFAULT_APERIODICITY_N)
     for n in range(1, DEFAULT_APERIODICITY_N + 1):
         p = lang.complexity(n)
         if p <= n:
-            return AperiodicityVerdict("periodic", p, DEFAULT_APERIODICITY_N)
-    return AperiodicityVerdict("aperiodic_upto", None, DEFAULT_APERIODICITY_N)
+            return p
+    return None
 
 
 def _max_power_exponent(text: Word) -> int:
@@ -369,12 +358,12 @@ def power_free_index(m: Morphism) -> PowerFreeResult:
     power, so k may grow with the scan length.  Periodic fixed points are
     screened out first and reported as "unbounded".
     """
-    if aperiodicity_check(m).periodic:
-        return PowerFreeResult("unbounded", None, None, DEFAULT_SCAN_LEN)
+    if aperiodicity_check(m) is not None:
+        return PowerFreeResult("unbounded", None, None)
     max_exp = _max_power_exponent(fixed_point_prefix(m, DEFAULT_SCAN_LEN))
     if max_exp + 1 > DEFAULT_MAX_K:
-        return PowerFreeResult("inconclusive", None, max_exp, DEFAULT_SCAN_LEN)
-    return PowerFreeResult("bounded", max_exp + 1, max_exp, DEFAULT_SCAN_LEN)
+        return PowerFreeResult("inconclusive", None, max_exp)
+    return PowerFreeResult("bounded", max_exp + 1, max_exp)
 
 
 @per_morphism
@@ -384,7 +373,7 @@ def recurrence_constant_empirical(m: Morphism) -> RecurrenceEstimate:
     Maximizes (longest return word to u) / |u| over all factors u of
     length <= RECURRENCE_MAX_LEN; exact rational, with the achieving word.
     """
-    if aperiodicity_check(m).periodic:
+    if aperiodicity_check(m) is not None:
         raise BadParametersError("recurrence ratio needs an aperiodic fixed point")
     lang = language_of(m)
     best: RecurrenceEstimate | None = None

@@ -1,10 +1,11 @@
 """Alphabet and morphism algebra.
 
 Letters are stored as dense indices; a word is a ``str`` whose characters
-are ``chr(index)``.  Display tokens exist only at the I/O boundary
-(:func:`parse_morphism`, :meth:`Morphism.encode`, :meth:`Morphism.decode`).
-All length computations that could blow up go through exact big-integer
-powers of the incidence matrix, never through word expansion.
+are ``chr(index)``.  Display tokens exist only at the I/O boundary: the
+tuple ``Morphism.letters`` holds them in index order, and
+:func:`parse_morphism`, :meth:`Morphism.encode` and :meth:`Morphism.decode`
+translate.  All length computations that could blow up go through exact
+big-integer powers of the incidence matrix, never through word expansion.
 
 A :class:`Morphism` is immutable in its fields, and everything derived
 from it (matrix powers, primitivity, the factor language, the bound
@@ -38,23 +39,16 @@ _BLOCK = 64  # letters per memoized block in Morphism.apply
 
 
 @dataclass(frozen=True)
-class Letter:
-    """A letter of the alphabet: dense index plus display token."""
-
-    index: int
-    display: str
-
-
-@dataclass(frozen=True)
 class Morphism:
     """A non-erasing morphism, given by one image word per letter.
 
-    ``images[i]`` is the image of letter ``i``; all words are index-encoded
-    strings.  Instances are hashable and compared by value; the memo of
-    derived values takes no part in either.
+    ``letters[i]`` is the display token of letter ``i`` and ``images[i]``
+    its image; all words are index-encoded strings.  Instances are
+    hashable and compared by value; the memo of derived values takes no
+    part in either.
     """
 
-    letters: tuple[Letter, ...]
+    letters: tuple[str, ...]
     images: tuple[Word, ...]
 
     def __post_init__(self):
@@ -63,15 +57,14 @@ class Morphism:
             raise InputError("empty alphabet")
         if len(self.images) != size:
             raise InputError("one image per letter required")
-        displays = [letter.display for letter in self.letters]
-        if len(set(displays)) != size:
+        if len(set(self.letters)) != size:
             raise InputError("display tokens must be pairwise distinct")
-        for i, image in enumerate(self.images):
+        for display, image in zip(self.letters, self.images):
             if not image:
-                raise InputError(f"image of letter {displays[i]!r} is empty")
+                raise InputError(f"image of letter {display!r} is empty")
             for ch in image:
                 if ord(ch) >= size:
-                    raise InputError(f"image of {displays[i]!r} uses an unknown letter")
+                    raise InputError(f"image of {display!r} uses an unknown letter")
 
     @functools.cached_property
     def _memo(self) -> dict:
@@ -116,7 +109,7 @@ class Morphism:
 
     def encode(self, text: str) -> Word:
         """Convert display tokens (contiguous or whitespace-separated) to a word."""
-        by_display = {letter.display: letter.index for letter in self.letters}
+        by_display = {display: i for i, display in enumerate(self.letters)}
         tokens: list[str] = []
         if any(ch.isspace() for ch in text):
             tokens = text.split()
@@ -139,16 +132,16 @@ class Morphism:
 
     def decode(self, word: Word, sep: str | None = None) -> str:
         """Render an index-encoded word with display tokens."""
-        displays = [self.letters[ord(ch)].display for ch in word]
+        displays = [self.letters[ord(ch)] for ch in word]
         if sep is None:
             sep = " " if any(len(d) > 1 for d in displays) else ""
         return sep.join(displays)
 
     def rules_text(self) -> str:
         lines = []
-        for letter, image in zip(self.letters, self.images):
-            rhs = " ".join(self.letters[ord(ch)].display for ch in image)
-            lines.append(f"{letter.display} -> {rhs}")
+        for display, image in zip(self.letters, self.images):
+            rhs = " ".join(self.letters[ord(ch)] for ch in image)
+            lines.append(f"{display} -> {rhs}")
         return "\n".join(lines)
 
 
@@ -208,12 +201,6 @@ class FixedPointSeed:
     right: str
 
 
-@dataclass(frozen=True)
-class PrimitivityResult:
-    primitive: bool
-    witness: int | None  # smallest k with M^k > 0, when primitive
-
-
 def _is_token(token: str) -> bool:
     """A token is one grapheme cluster (base char plus combining marks)
     or a bracketed identifier."""
@@ -269,9 +256,8 @@ def parse_morphism(text: str) -> Morphism:
         if token not in index:
             raise UnknownLetterError(f"no rule for letter {token!r}", line_no, col)
 
-    letters = tuple(Letter(i, token) for i, token in enumerate(order))
     images = tuple("".join(chr(index[t]) for t in raw_rules[tok]) for tok in order)
-    return Morphism(letters, images)
+    return Morphism(tuple(order), images)
 
 
 def per_morphism(fn):
@@ -327,8 +313,9 @@ def wielandt_bound(dim: int) -> int:
     return dim * dim - 2 * dim + 2
 
 
-def is_primitive(matrix: IncidenceMatrix) -> PrimitivityResult:
-    """Primitivity test with the smallest positivity witness.
+def is_primitive(matrix: IncidenceMatrix) -> int | None:
+    """The smallest k with M^k > 0, or None when M is not primitive; a
+    witness is >= 1, so the value is truthy exactly for primitive M.
 
     Only the positivity pattern matters, so powers are taken over
     booleans; the verdict is conclusive either way because a primitive
@@ -344,19 +331,19 @@ def is_primitive(matrix: IncidenceMatrix) -> PrimitivityResult:
                 for i in range(dim)
             ]
         if all(all(row) for row in current):
-            return PrimitivityResult(True, k)
-    return PrimitivityResult(False, None)
+            return k
+    return None
 
 
 @per_morphism
-def primitivity(m: Morphism) -> PrimitivityResult:
-    """The primitivity verdict of the incidence matrix of m."""
+def primitivity(m: Morphism) -> int | None:
+    """The primitivity witness of the incidence matrix of m (is_primitive)."""
     return is_primitive(incidence_matrix(m))
 
 
 def require_primitive(m: Morphism):
     """The guard of every computation that needs a primitive morphism."""
-    if not primitivity(m).primitive:
+    if primitivity(m) is None:
         raise NotPrimitiveError("the morphism is not primitive")
 
 

@@ -10,15 +10,15 @@ bound calculators label every quantity as exact, certified, or heuristic.
 
 from __future__ import annotations
 
-import math
 import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate
 from typing import Iterator, Literal
 
-from .bignum import digits10, int_log10
+from .bignum import digits10, int_log10, log10_line
 from .errors import (
     BadParametersError,
     InputError,
@@ -29,7 +29,9 @@ from .errors import (
 )
 from .fixedpoint import Window, cutting_points
 from .language import (
+    DEFAULT_APERIODICITY_N,
     DEFAULT_MAX_K,
+    DEFAULT_SCAN_LEN,
     RECURRENCE_MAX_LEN,
     aperiodicity_check,
     language_of,
@@ -63,17 +65,6 @@ def exact_digit_cap() -> int:
 # Injectivity exponent (letter-level kernel chain)
 
 
-@dataclass(frozen=True)
-class KernelChain:
-    """levels[n] is the partition of the alphabet by sigma^n-image equality,
-    for n = 0 .. #A.  d is the smallest level whose partition already equals
-    the stable one; d_safe = #A covers the word-level statement."""
-
-    levels: tuple[tuple[tuple[str, ...], ...], ...]
-    d: int
-    d_safe: int
-
-
 def _image_letters(m: Morphism, letter: str, n: int) -> Iterator[str]:
     if n == 0:
         yield letter
@@ -91,6 +82,7 @@ def _images_equal(m: Morphism, a: str, b: str, n: int) -> bool:
 
 
 def _kernel_partition(m: Morphism, n: int) -> tuple[tuple[str, ...], ...]:
+    """The partition of the alphabet by sigma^n-image equality."""
     classes: list[list[str]] = []
     for i in range(m.size):
         letter = chr(i)
@@ -104,20 +96,18 @@ def _kernel_partition(m: Morphism, n: int) -> tuple[tuple[str, ...], ...]:
 
 
 @per_morphism
-def injectivity_exponent(m: Morphism) -> KernelChain:
-    """Kernel chain of sigma^n on letters, with image lengths compared via
-    matrix powers before any materialization.
+def injectivity_exponent(m: Morphism) -> int:
+    """The injectivity exponent d, read off the kernel chain of sigma^n on
+    letters, with image lengths compared via matrix powers before any
+    materialization.
 
     The chain refines upward and is constant from level #A - 1 on, so d is
     read off by comparing each level to the stable partition.  This
     letter-level d is what the two-step bound argument consumes; forcing
-    d = #A (d_safe) covers the statement quantified over words.
+    d = #A (safe_d) covers the statement quantified over words.
     """
-    size = m.size
-    levels = tuple(_kernel_partition(m, n) for n in range(size + 1))
-    stable = levels[size - 1]
-    d = next(n + 1 for n in range(size) if levels[n] == stable)
-    return KernelChain(levels, d, size)
+    levels = [_kernel_partition(m, n) for n in range(m.size)]
+    return next(n + 1 for n, level in enumerate(levels) if level == levels[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -150,16 +140,14 @@ class SyncResult:
     """Outcome of the delay search.
 
     delay is the first length at which every factor has a synchronizing
-    point (None if not reached by n_max); per_length records the
-    unsynchronized words for each tested length.  screened_periodic marks
-    inputs rejected by the aperiodicity screening, for which no finite
-    delay is reported.
+    point (None if not reached by the search's n_max); per_length records
+    the unsynchronized words for each tested length.  screened_periodic
+    marks inputs rejected by the aperiodicity screening, for which no
+    finite delay is reported.
     """
 
     delay: int | None
-    n_max: int
     per_length: tuple[tuple[int, tuple[Word, ...]], ...]
-    L_from_C: int | None
     screened_periodic: bool = False
 
 
@@ -232,8 +220,8 @@ def synchronizing_delay(
     """
     if n_max < 1:
         raise BadParametersError("n_max must be >= 1")
-    if aperiodicity_check(m).periodic:
-        return SyncResult(None, n_max, (), None, screened_periodic=True)
+    if aperiodicity_check(m) is not None:
+        return SyncResult(None, (), screened_periodic=True)
     per_length: list[tuple[int, tuple[Word, ...]]] = []
     for n in range(1, n_max + 1):
         common: dict[Word, set[int]] = {}
@@ -244,8 +232,8 @@ def synchronizing_delay(
         bad = tuple(sorted(u for u, cuts in common.items() if not cuts))
         per_length.append((n, bad))
         if not bad:
-            return SyncResult(n, n_max, tuple(per_length), n // 2)
-    return SyncResult(None, n_max, tuple(per_length), None)
+            return SyncResult(n, tuple(per_length))
+    return SyncResult(None, tuple(per_length))
 
 
 # ---------------------------------------------------------------------------
@@ -267,10 +255,11 @@ class Counterexample:
 
 @dataclass(frozen=True)
 class VerifyResult:
-    ok: bool
-    constant: int
-    level: int
     counterexample: Counterexample | None = None
+
+    @property
+    def ok(self) -> bool:
+        return self.counterexample is None
 
 
 @dataclass(frozen=True)
@@ -280,9 +269,7 @@ class EmpiricalConstant:
 
     certified_lower: int
     heuristic: int | None
-    level: int
     L_max: int
-    last_counterexample: Counterexample | None
 
 
 def verify_constant(window: Window, L: int, p: int) -> VerifyResult:
@@ -337,9 +324,7 @@ def verify_constant(window: Window, L: int, p: int) -> VerifyResult:
         if best is None or key < best[0]:
             kind = "not_a_cut" if info is None else "preimage_mismatch"
             best = (key, Counterexample(i, c_pos, pos, kind))
-    if best is None:
-        return VerifyResult(True, L, p)
-    return VerifyResult(False, L, p, best[1])
+    return VerifyResult(None if best is None else best[1])
 
 
 def _largest_constant(window: Window, p: int) -> int:
@@ -357,13 +342,10 @@ def minimal_constant_empirical(window: Window, p: int, L_max: int) -> EmpiricalC
     if L_max < 0:
         raise BadParametersError("L_max must be >= 0")
     L_max = max(0, min(L_max, _largest_constant(window, p)))
-    last: Counterexample | None = None
     for L in range(L_max + 1):
-        result = verify_constant(window, L, p)
-        if result.ok:
-            return EmpiricalConstant(L, L, p, L_max, last)
-        last = result.counterexample
-    return EmpiricalConstant(L_max + 1, None, p, L_max, last)
+        if verify_constant(window, L, p).ok:
+            return EmpiricalConstant(L, L, L_max)
+    return EmpiricalConstant(L_max + 1, None, L_max)
 
 
 # ---------------------------------------------------------------------------
@@ -380,16 +362,16 @@ class CertifiedConstants:
     N_cert: int
     Rret_cert: int
     K_cert: int
-    k_cert: int
 
 
 @dataclass(frozen=True)
 class BigValue:
     """An exact big natural, or its symbolic/logarithmic stand-in once the
-    exact form would blow past the digit cap."""
+    exact form would blow past the digit cap; log10 is a Decimal once it
+    passes float range."""
 
     expr: str
-    log10: float
+    log10: float | Decimal
     exact: int | None = None
 
     @classmethod
@@ -422,8 +404,7 @@ def certified_constants(m: Morphism) -> CertifiedConstants:
     a2 = m.size * m.size
     n_cert = extreme_lengths(m, a2)[0]
     rret = 2 * extreme_lengths(m, 2 * a2)[0]
-    k_big = rret * n_cert * m.widest
-    return CertifiedConstants(n_cert, rret, k_big, k_big + 1)
+    return CertifiedConstants(n_cert, rret, rret * n_cert * m.widest)
 
 
 @per_morphism
@@ -442,7 +423,7 @@ def exact_ratio_constant(m: Morphism) -> tuple[int, tuple[str, ...]]:
         widest, narrowest = extreme_lengths(m, n)
         sampled = max(sampled, Fraction(widest, narrowest))
     stride_bounds = []
-    for t in range(primitivity(m).witness, span + 1):
+    for t in range(primitivity(m), span + 1):
         widest, narrowest = extreme_lengths(m, t)
         stride_bounds.append(widest - narrowest + 1)
     sampled_int = -(-sampled.numerator // sampled.denominator)
@@ -455,18 +436,14 @@ def exact_ratio_constant(m: Morphism) -> tuple[int, tuple[str, ...]]:
     return n_exact, warnings
 
 
-def _sigma_power_log10(m: Morphism, n: int) -> float:
-    """Approximate log10 |sigma^n| for n past the exact cap: linear
-    extrapolation from two exact sample points, which cancels the constant
-    in front of the dominant growth term."""
+def _log10_scaled_power(m: Morphism, r: int, n: int) -> float | Decimal:
+    """Approximate log10 (r |sigma^n|) for n past the exact cap: linear
+    extrapolation of log10 |sigma^n| from two exact sample points, which
+    cancels the constant in front of the dominant growth term."""
     base = 1024
     l1 = int_log10(extreme_lengths(m, base)[0])
     l2 = int_log10(extreme_lengths(m, 2 * base)[0])
-    rate = (l2 - l1) / base
-    try:
-        return l1 + float(n - base) * rate
-    except OverflowError:
-        return math.inf
+    return log10_line(l1, n - base, (l2 - l1) / base, int_log10(r))
 
 
 def recognizability_bound(
@@ -485,21 +462,18 @@ def recognizability_bound(
     ceiling K*i.  Values whose exact form would exceed the digit cap are
     returned in logarithmic form, labeled approximate."""
     exact_cap = exact_digit_cap()
-    screening = aperiodicity_check(m)
-    if screening.periodic:
-        raise NotAperiodicError(
-            f"fixed point is periodic (period {screening.period}); not recognizable"
-        )
-    warnings = [f"aperiodicity screened to n={screening.n_max}, not proven"]
-    chain = injectivity_exponent(m)
-    d = chain.d_safe if safe_d else chain.d
+    period = aperiodicity_check(m)
+    if period is not None:
+        raise NotAperiodicError(f"fixed point is periodic (period {period}); not recognizable")
+    warnings = [f"aperiodicity screened to n={DEFAULT_APERIODICITY_N}, not proven"]
+    d = m.size if safe_d else injectivity_exponent(m)
 
     if mode == "empirical_exact":
         pf = power_free_index(m)
         if pf.k is None:
             raise PowerIndexCapExceededError(
                 f"power-free index {pf.kind}: exponent {pf.max_exponent} in the first "
-                f"{pf.scan_len} letters puts k past max_k={DEFAULT_MAX_K}"
+                f"{DEFAULT_SCAN_LEN} letters puts k past max_k={DEFAULT_MAX_K}"
             )
         k = pf.k
         n_value, n_warnings = exact_ratio_constant(m)
@@ -508,7 +482,7 @@ def recognizability_bound(
         warnings.append(f"K is an empirical lower bound (scan up to length {RECURRENCE_MAX_LEN})")
     elif mode == "certified":
         certs = certified_constants(m)
-        k = certs.k_cert
+        k = certs.K_cert + 1
         n_value = certs.N_cert
         k_ratio = certs.K_cert
     else:
@@ -528,7 +502,7 @@ def recognizability_bound(
         q_value = 1 + (k_ratio * r_value) * (k_ratio * total)
 
     dq = d * q_value
-    est_digits = _sigma_power_log10(m, dq) + int_log10(r_value) + 1
+    est_digits = _log10_scaled_power(m, r_value, dq) + 1
     if est_digits <= exact_cap:
         widest_dq = extreme_lengths(m, dq)[0]
         m_value = BigValue.from_int(r_value * widest_dq, f"{r_value}*|sigma^{dq}|")
@@ -573,10 +547,7 @@ def closed_form_bound(m: Morphism, injective_hint: bool = False) -> ClosedFormBo
     expr = f"2*{base}^{exponent if digits10(exponent) <= 40 else '<exponent>'} + {base}^{addend_power}"
     if base == 1:
         return ClosedFormBound(base, exponent, addend_power, BigValue.from_int(3, expr))
-    try:
-        log10_value = int_log10(2) + float(exponent) * int_log10(base)
-    except OverflowError:
-        log10_value = math.inf
+    log10_value = log10_line(int_log10(2), exponent, int_log10(base))
     if log10_value + 1 <= exact_cap:
         value = 2 * base**exponent + base**addend_power
         return ClosedFormBound(base, exponent, addend_power, BigValue.from_int(value, expr))

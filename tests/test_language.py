@@ -250,13 +250,12 @@ class TestPowerFreeIndex:
 
 class TestAperiodicity:
     def test_periodic_pair(self, per):
-        verdict = aperiodicity_check(per)
-        assert verdict.periodic and verdict.period == 2
+        assert aperiodicity_check(per) == 2
 
     def test_aperiodic_screenings(self, fib, tm):
+        assert language.DEFAULT_APERIODICITY_N == 200
         for m in (fib, tm):
-            verdict = aperiodicity_check(m)
-            assert verdict.kind == "aperiodic_upto" and verdict.n_max == 200
+            assert aperiodicity_check(m) is None
 
 
 class TestRecurrenceConstant:

@@ -12,8 +12,11 @@ from subrec import (
     certified_constants,
     complexity,
     image_lengths,
+    injectivity_exponent,
+    is_primitive,
     language_of,
     parse_morphism,
+    power_free_index,
     zoo,
 )
 from subrec.cli import analyze
@@ -36,7 +39,7 @@ def test_memo_outside_equality_hash_and_repr():
 def test_values_shared_per_instance_not_per_value():
     m, twin = parse_morphism(FIB_TEXT), parse_morphism(FIB_TEXT)
     assert language_of(m) is language_of(m)
-    assert aperiodicity_check(m) is aperiodicity_check(m)
+    assert power_free_index(m) is power_free_index(m)
     assert language_of(m) is not language_of(twin)
 
 
@@ -68,6 +71,10 @@ def test_one_analysis_runs_each_body_once():
     counts = {entry.code: entry.callcount for entry in profile.getstats()}
     assert counts.get(_max_power_exponent.__code__) == 1
     assert counts.get(certified_constants.__wrapped__.__code__) == 1
+    # the primitivity, aperiodicity and injectivity guards
+    assert counts.get(is_primitive.__code__) == 1
+    assert counts.get(aperiodicity_check.__wrapped__.__code__) == 1
+    assert counts.get(injectivity_exponent.__wrapped__.__code__) == 1
 
 
 def test_closure_expands_each_word_once():

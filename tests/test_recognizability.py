@@ -24,6 +24,7 @@ from subrec import (
     verify_constant,
 )
 from subrec import zoo
+from subrec.cli import _delay_json
 from subrec.errors import (
     BadParametersError,
     NotAFactorError,
@@ -31,6 +32,7 @@ from subrec.errors import (
     WindowTooSmallError,
 )
 from subrec.morphism import parse_morphism
+from subrec.recognizability import _kernel_partition
 
 from oracles import (
     COLL_RULES,
@@ -71,26 +73,25 @@ def window_of(m, radius=1000, min_level=4):
 
 class TestInjectivityExponent:
     def test_fib_tm_trivial_kernel(self, fib, tm):
-        assert injectivity_exponent(fib).d == 1
-        assert injectivity_exponent(tm).d == 1
+        assert injectivity_exponent(fib) == 1
+        assert injectivity_exponent(tm) == 1
 
     def test_coll(self, coll):
-        chain = injectivity_exponent(coll)
-        assert chain.d == 2
+        assert injectivity_exponent(coll) == 2
         a, b, c = coll.encode("a"), coll.encode("b"), coll.encode("c")
-        assert chain.levels[1] == ((a, b), (c,))
-        assert chain.d_safe == 3
+        assert _kernel_partition(coll, 1) == ((a, b), (c,))
+        assert recognizability_bound(coll, "certified", safe_d=True).d == 3
 
     def test_chain_monotone_and_stable(self):
         for m, _ in RULED:
-            chain = injectivity_exponent(m)
+            levels = [_kernel_partition(m, n) for n in range(m.size + 1)]
             as_pairs = [
                 {(x, y) for cls in level for x in cls for y in cls}
-                for level in chain.levels
+                for level in levels
             ]
             for lower, higher in zip(as_pairs, as_pairs[1:]):
                 assert lower <= higher
-            assert chain.levels[m.size - 1] == chain.levels[m.size]
+            assert levels[m.size - 1] == levels[m.size]
 
 
 class TestInterpretations:
@@ -173,8 +174,9 @@ class TestFirstImagePass:
             delay, per_length, periodic = delay_reference(rules, 16, interior_only, factors)
             assert result.screened_periodic == periodic
             assert result.delay == delay
-            assert result.L_from_C == (None if delay is None else delay // 2)
-            assert result.n_max == 16
+            reported = _delay_json(m, result, 16)
+            assert reported["L_from_C"] == (None if delay is None else delay // 2)
+            assert reported["n_max"] == 16
             assert [(n, [m.decode(u) for u in bad]) for n, bad in result.per_length] == per_length
 
     def test_long_first_image(self):
@@ -206,7 +208,7 @@ class TestSynchronizingDelay:
     def test_fib(self, fib):
         result = synchronizing_delay(fib, 16)
         assert result.delay == 2
-        assert result.L_from_C == 1
+        assert _delay_json(fib, result, 16)["L_from_C"] == 1
         assert dict(result.per_length)[1] == (fib.encode("a"),)
 
     def test_tm_within_klouda_medkova(self, tm):
@@ -218,7 +220,7 @@ class TestSynchronizingDelay:
         result = synchronizing_delay(per, 16)
         assert result.delay is None
         assert result.screened_periodic
-        assert result.n_max == 16
+        assert _delay_json(per, result, 16)["n_max"] == 16
 
     def test_monotone_in_length(self):
         for m, _ in RULED[:3]:
@@ -282,9 +284,7 @@ class TestVerifyConstant:
         for p in (1, 2, 3):
             for L in (0, 1, 2, 3, 4, 6, 8):
                 ref = verify_reference(oracle, L, p)
-                expected = VerifyResult(
-                    ref is None, L, p, None if ref is None else Counterexample(*ref)
-                )
+                expected = VerifyResult(None if ref is None else Counterexample(*ref))
                 assert verify_constant(w, L, p) == expected
 
     def test_tie_break_context_order_tm(self, tm):
@@ -327,7 +327,7 @@ class TestCertifiedConstants:
         assert certs.N_cert == 8
         assert certs.Rret_cert == 110
         assert certs.K_cert == 1760
-        assert certs.k_cert == 1761
+        assert recognizability_bound(fib, "certified").k == certs.K_cert + 1 == 1761
 
     def test_exact_ratio_constants(self, fib, tm):
         assert exact_ratio_constant(fib)[0] == 2
