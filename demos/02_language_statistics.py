@@ -14,6 +14,7 @@ from subrec import (
     return_words,
 )
 from subrec import zoo
+from subrec.errors import NotAperiodicError
 from subrec.language import DEFAULT_APERIODICITY_N, RECURRENCE_MAX_LEN
 
 for name, m in [("fibonacci", zoo.FIBONACCI), ("thue-morse", zoo.THUE_MORSE), ("tribonacci", zoo.TRIBONACCI)]:
@@ -32,8 +33,10 @@ for text in ("a", "ab"):
 
 print("\npower-free indices (exhaustive scan of a 10^4 window):")
 for name, m in [("thue-morse", zoo.THUE_MORSE), ("fibonacci", zoo.FIBONACCI), ("periodic", zoo.PERIODIC)]:
-    result = power_free_index(m)
-    shown = result.k if result.kind == "bounded" else result.kind
+    try:
+        shown = power_free_index(m)
+    except NotAperiodicError as exc:
+        shown = f"refused: {exc}"
     print(f"  {name:11} -> {shown}")
 
 print("\naperiodicity screening (Morse-Hedlund):")

@@ -17,7 +17,6 @@ from .fixedpoint import (
 )
 from .language import (
     FactorLanguage,
-    PowerFreeResult,
     RecurrenceEstimate,
     ReturnWordSet,
     aperiodicity_check,
@@ -85,7 +84,6 @@ __all__ = [
     "FactorLanguage",
     "ReturnWordSet",
     "RecurrenceEstimate",
-    "PowerFreeResult",
     "language_of",
     "factor_language",
     "complexity",

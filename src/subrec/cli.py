@@ -21,13 +21,7 @@ from decimal import Decimal
 from pathlib import Path
 
 from .bignum import big_str, digits10
-from .errors import (
-    BadParametersError,
-    CapExceeded,
-    InputError,
-    NotAperiodicError,
-    PowerIndexCapExceededError,
-)
+from .errors import BadParametersError, CapExceeded, InputError, NotAperiodicError
 from .fixedpoint import build_window
 from .language import (
     DEFAULT_APERIODICITY_N,
@@ -202,6 +196,8 @@ def analyze(
     """The full report, already JSON-shaped: emit_report renders it."""
     if radius < 1:
         raise BadParametersError("radius must be >= 1")
+    if max_delay < 1:
+        raise BadParametersError("max_delay must be >= 1")
     warnings: list[str] = []
     witness = primitivity(m)
     report = {
@@ -246,8 +242,10 @@ def analyze(
         n_exact, n_warnings = exact_ratio_constant(m)
         warnings.extend(n_warnings)
         constants["N"] = big_str(n_exact)
-        pf = power_free_index(m)
-        constants["k"] = str(pf.k) if pf.kind == "bounded" else pf.kind
+        try:
+            constants["k"] = str(power_free_index(m))
+        except CapExceeded:
+            constants["k"] = "inconclusive"
         k_emp = recurrence_constant_empirical(m)
         constants["K_emp"] = str(k_emp.ratio)
         warnings.append(f"K_emp is a lower bound from a length-{RECURRENCE_MAX_LEN} scan")
@@ -285,7 +283,7 @@ def analyze(
     if period is None:
         try:
             breakdown = recognizability_bound(m, "empirical_exact", safe_d=safe_d)
-        except PowerIndexCapExceededError as exc:
+        except CapExceeded as exc:
             warnings.append(f"bounds.maindetail omitted: {exc}")
         else:
             bounds["maindetail"] = _breakdown_json(breakdown)

@@ -82,8 +82,3 @@ class SizeExceededError(CapExceeded):
 
 class WindowCapExceededError(CapExceeded):
     """The scan would need a window longer than the configured cap."""
-
-
-class PowerIndexCapExceededError(CapExceeded):
-    """The power scan met an exponent past the max_k cap, so the
-    power-free index is not pinned."""

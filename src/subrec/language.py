@@ -6,7 +6,9 @@ primitive morphism any nonempty seed closes to the whole slice), not by
 scanning a finite window and hoping it was long enough.  Window scans are
 used only where the result is explicitly labeled heuristic (return-word
 completeness) or where the window provably suffices.  The aperiodicity
-screen returns the period it finds, or None when it finds none.
+screen returns the period it finds or None, and require_aperiodic refuses
+a periodic fixed point; power_free_index returns k, or refuses with
+CapExceeded when the scan cannot pin it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ from typing import Literal
 
 from .errors import (
     BadParametersError,
+    CapExceeded,
     NotAFactorError,
+    NotAperiodicError,
     NotPrimitiveError,
     WindowCapExceededError,
 )
@@ -49,13 +53,6 @@ class RecurrenceEstimate:
     ratio: Fraction
     witness: Word  # the base word achieving the ratio
     longest_return: Word
-
-
-@dataclass(frozen=True)
-class PowerFreeResult:
-    kind: Literal["bounded", "unbounded", "inconclusive"]
-    k: int | None
-    max_exponent: int | None
 
 
 class FactorLanguage:
@@ -287,6 +284,14 @@ def aperiodicity_check(m: Morphism) -> int | None:
     return None
 
 
+def require_aperiodic(m: Morphism) -> None:
+    """Refuse a fixed point the aperiodicity screen finds periodic: the
+    recognizability constants and bounds exist only for aperiodic ones."""
+    period = aperiodicity_check(m)
+    if period is not None:
+        raise NotAperiodicError(f"fixed point is periodic (period {period}); not recognizable")
+
+
 def _max_power_exponent(text: Word) -> int:
     """Largest k such that some u^k (u non-empty) occurs in text.
 
@@ -349,21 +354,22 @@ def _max_power_exponent(text: Word) -> int:
 
 
 @per_morphism
-def power_free_index(m: Morphism) -> PowerFreeResult:
+def power_free_index(m: Morphism) -> int:
     """Smallest k such that no k-th power occurs in the first
-    DEFAULT_SCAN_LEN letters of the fixed point; "inconclusive" past
-    DEFAULT_MAX_K.
+    DEFAULT_SCAN_LEN letters of the fixed point, refused with CapExceeded
+    past DEFAULT_MAX_K.
 
     This is a screen, not a proof: a longer prefix can hold a higher
-    power, so k may grow with the scan length.  Periodic fixed points are
-    screened out first and reported as "unbounded".
+    power, so k may grow with the scan length.
     """
-    if aperiodicity_check(m) is not None:
-        return PowerFreeResult("unbounded", None, None)
+    require_aperiodic(m)
     max_exp = _max_power_exponent(fixed_point_prefix(m, DEFAULT_SCAN_LEN))
     if max_exp + 1 > DEFAULT_MAX_K:
-        return PowerFreeResult("inconclusive", None, max_exp)
-    return PowerFreeResult("bounded", max_exp + 1, max_exp)
+        raise CapExceeded(
+            f"power-free index inconclusive: exponent {max_exp} in the first "
+            f"{DEFAULT_SCAN_LEN} letters puts k past max_k={DEFAULT_MAX_K}"
+        )
+    return max_exp + 1
 
 
 @per_morphism
@@ -373,8 +379,7 @@ def recurrence_constant_empirical(m: Morphism) -> RecurrenceEstimate:
     Maximizes (longest return word to u) / |u| over all factors u of
     length <= RECURRENCE_MAX_LEN; exact rational, with the achieving word.
     """
-    if aperiodicity_check(m) is not None:
-        raise BadParametersError("recurrence ratio needs an aperiodic fixed point")
+    require_aperiodic(m)
     lang = language_of(m)
     best: RecurrenceEstimate | None = None
     for n in range(1, RECURRENCE_MAX_LEN + 1):

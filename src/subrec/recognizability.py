@@ -10,7 +10,6 @@ bound calculators label every quantity as exact, certified, or heuristic.
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from decimal import Decimal
@@ -21,22 +20,19 @@ from typing import Iterator, Literal
 from .bignum import digits10, int_log10, log10_line
 from .errors import (
     BadParametersError,
-    InputError,
+    CapExceeded,
     NotAFactorError,
-    NotAperiodicError,
-    PowerIndexCapExceededError,
     WindowTooSmallError,
 )
 from .fixedpoint import Window, cutting_points
 from .language import (
     DEFAULT_APERIODICITY_N,
-    DEFAULT_MAX_K,
-    DEFAULT_SCAN_LEN,
     RECURRENCE_MAX_LEN,
     aperiodicity_check,
     language_of,
     power_free_index,
     recurrence_constant_empirical,
+    require_aperiodic,
 )
 from .morphism import (
     Morphism,
@@ -48,17 +44,11 @@ from .morphism import (
     require_primitive,
 )
 
-DEFAULT_EXACT_CAP = 10**6  # decimal digits; the SUBREC_EXACT_CAP environment variable overrides
-
-
-def exact_digit_cap() -> int:
-    raw = os.environ.get("SUBREC_EXACT_CAP")
-    if raw is None:
-        return DEFAULT_EXACT_CAP
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise InputError(f"SUBREC_EXACT_CAP must be an integer, got {raw!r}") from None
+DEFAULT_EXACT_CAP = 10**6  # decimal digits; past it a value is carried in logarithmic form
+# Letters the empirical bound's language closure may hold.  Morse-Hedlund
+# gives p(c) >= c + 1 for an aperiodic word, so the slice closed at length c
+# holds at least (c + 1) c letters: past the cap it is refused up front.
+CLOSURE_MAX_LETTERS = 10**8
 
 
 # ---------------------------------------------------------------------------
@@ -130,10 +120,6 @@ class Interpretation:
     suffix: Word
     cuts: tuple[int, ...]
 
-    @property
-    def sync_cuts(self) -> tuple[int, ...]:
-        return tuple(k for k in self.cuts if k >= 1)
-
 
 @dataclass(frozen=True)
 class SyncResult:
@@ -184,6 +170,22 @@ def interpretations(m: Morphism, u: Word) -> tuple[Interpretation, ...]:
     return tuple(found[key] for key in sorted(found))
 
 
+def _sync_cuts(m: Morphism, n: int, interior_only: bool) -> dict[Word, set[int]]:
+    """Each length-n factor with the positions k in 1..n (1..n-1 when
+    interior_only) where every interpretation places an image boundary.
+
+    One first-image pass: every window at an offset o < |sigma(w[0])| of
+    sigma(w) is one interpretation of its factor (see :func:`interpretations`),
+    and its boundaries past o are intersected per factor, with no search
+    per factor."""
+    common: dict[Word, set[int]] = {}
+    for _, image, bounds in _first_images(m, n):
+        for o in range(bounds[1]):
+            cuts = {b - o for b in bounds[1 : bisect_right(bounds, o + n - interior_only)]}
+            common.setdefault(image[o : o + n], cuts).intersection_update(cuts)
+    return common
+
+
 def synchronizing_point(m: Morphism, u: Word, interior_only: bool = False) -> tuple[int, ...]:
     """Positions k where every interpretation of u places an image boundary,
     in ascending order; empty when u is not synchronized.
@@ -191,16 +193,11 @@ def synchronizing_point(m: Morphism, u: Word, interior_only: bool = False) -> tu
     k ranges over 1..|u|; the boundary k = |u| (suffix aligned with a full
     image) is allowed unless interior_only restricts to 1..|u|-1.
     """
-    interps = interpretations(m, u)
-    assert interps, "every factor has at least one tight interpretation"
-    common = set(interps[0].sync_cuts)
-    for it in interps[1:]:
-        common &= set(it.sync_cuts)
-        if not common:
-            break
-    if interior_only:
-        common -= {len(u)}
-    return tuple(sorted(common))
+    if not u:
+        raise BadParametersError("u must be non-empty")
+    if u not in language_of(m):
+        raise NotAFactorError(f"{m.decode(u)!r} is not a factor")
+    return tuple(sorted(_sync_cuts(m, len(u), interior_only)[u]))
 
 
 def synchronizing_delay(
@@ -213,10 +210,6 @@ def synchronizing_delay(
     common boundary), so the first all-synchronized length is the delay.
     Periodic fixed points never have one; they are screened out first and
     reported as delay None.
-
-    Each length n takes one first-image pass: the sync cuts of every
-    length-n window (without n when interior_only) are intersected per
-    window, with no search per factor.
     """
     if n_max < 1:
         raise BadParametersError("n_max must be >= 1")
@@ -224,12 +217,7 @@ def synchronizing_delay(
         return SyncResult(None, (), screened_periodic=True)
     per_length: list[tuple[int, tuple[Word, ...]]] = []
     for n in range(1, n_max + 1):
-        common: dict[Word, set[int]] = {}
-        for _, image, bounds in _first_images(m, n):
-            for o in range(bounds[1]):
-                cuts = {b - o for b in bounds[1 : bisect_right(bounds, o + n - interior_only)]}
-                common.setdefault(image[o : o + n], cuts).intersection_update(cuts)
-        bad = tuple(sorted(u for u, cuts in common.items() if not cuts))
+        bad = tuple(sorted(u for u, cuts in _sync_cuts(m, n, interior_only).items() if not cuts))
         per_length.append((n, bad))
         if not bad:
             return SyncResult(n, tuple(per_length))
@@ -461,21 +449,12 @@ def recognizability_bound(
     alphabet-and-width certificates, with p(i) replaced by its certified
     ceiling K*i.  Values whose exact form would exceed the digit cap are
     returned in logarithmic form, labeled approximate."""
-    exact_cap = exact_digit_cap()
-    period = aperiodicity_check(m)
-    if period is not None:
-        raise NotAperiodicError(f"fixed point is periodic (period {period}); not recognizable")
+    require_aperiodic(m)
     warnings = [f"aperiodicity screened to n={DEFAULT_APERIODICITY_N}, not proven"]
     d = m.size if safe_d else injectivity_exponent(m)
 
     if mode == "empirical_exact":
-        pf = power_free_index(m)
-        if pf.k is None:
-            raise PowerIndexCapExceededError(
-                f"power-free index {pf.kind}: exponent {pf.max_exponent} in the first "
-                f"{DEFAULT_SCAN_LEN} letters puts k past max_k={DEFAULT_MAX_K}"
-            )
-        k = pf.k
+        k = power_free_index(m)
         n_value, n_warnings = exact_ratio_constant(m)
         warnings.extend(n_warnings)
         k_ratio: Fraction | int = recurrence_constant_empirical(m).ratio
@@ -492,8 +471,14 @@ def recognizability_bound(
     i_lo = -((-r_value) // n_value)
     i_hi = r_value * n_value + 2
     if mode == "empirical_exact":
+        c = max(r_value, i_hi)
+        if (c + 1) * c > CLOSURE_MAX_LETTERS:
+            raise CapExceeded(
+                f"language closure at length {c} holds at least {(c + 1) * c} letters,"
+                f" past the cap {CLOSURE_MAX_LETTERS}"
+            )
         lang = language_of(m)
-        lang.ensure(max(r_value, i_hi))
+        lang.ensure(c)
         q_value = 1 + lang.complexity(r_value) * sum(
             lang.complexity(i) for i in range(i_lo, i_hi + 1)
         )
@@ -503,7 +488,7 @@ def recognizability_bound(
 
     dq = d * q_value
     est_digits = _log10_scaled_power(m, r_value, dq) + 1
-    if est_digits <= exact_cap:
+    if est_digits <= DEFAULT_EXACT_CAP:
         widest_dq = extreme_lengths(m, dq)[0]
         m_value = BigValue.from_int(r_value * widest_dq, f"{r_value}*|sigma^{dq}|")
         bound_int = m_value.exact + extreme_lengths(m, d)[0]
@@ -536,7 +521,6 @@ def closed_form_bound(m: Morphism, injective_hint: bool = False) -> ClosedFormBo
     """Alphabet-and-width-only bound 2|sigma|^(6(#A)^2 + 6(#A)|sigma|^(28(#A)^2))
     + |sigma|^(#A); with the injectivity hint the inner factor #A and the
     addend power drop to 1."""
-    exact_cap = exact_digit_cap()
     require_primitive(m)
     base = m.widest
     size = m.size
@@ -548,7 +532,7 @@ def closed_form_bound(m: Morphism, injective_hint: bool = False) -> ClosedFormBo
     if base == 1:
         return ClosedFormBound(base, exponent, addend_power, BigValue.from_int(3, expr))
     log10_value = log10_line(int_log10(2), exponent, int_log10(base))
-    if log10_value + 1 <= exact_cap:
+    if log10_value + 1 <= DEFAULT_EXACT_CAP:
         value = 2 * base**exponent + base**addend_power
         return ClosedFormBound(base, exponent, addend_power, BigValue.from_int(value, expr))
     return ClosedFormBound(base, exponent, addend_power, BigValue(expr, log10_value))

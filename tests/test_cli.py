@@ -6,12 +6,15 @@ from pathlib import Path
 import pytest
 
 from subrec.cli import DEFAULT_MAX_LETTERS, analyze, emit_report, run
-from subrec import parse_morphism, recognizability_bound, zoo
+from subrec import parse_morphism, recognizability, recognizability_bound, zoo
 from subrec.errors import BadParametersError
 
 FIB_TEXT = "a -> a b\nb -> a\n"
 TM_TEXT = "a -> a b\nb -> b a\n"
 PER_TEXT = "a -> a b\nb -> a b\n"
+NONPRIM_TEXT = "a -> a\nb -> a b\n"
+# the empirical bound's closure at length 54,210 would hold over 2.9e9 letters
+ROADMAP4_TEXT = "a -> b c\nb -> a a d\nc -> b b d\nd -> d b b\n"
 LONG_A_TEXT = f"a -> {' a' * 65} b\nb -> a\n"  # a 66-th power within 10,000 letters
 # 12-uniform on four letters: the certified R has 88 digits
 U12_TEXT = (
@@ -277,6 +280,44 @@ class TestSmallRadius:
         assert "radius must be >= 1" in err
 
 
+class TestMaxDelayRefused:
+    """max_delay is checked up front, so a non-primitive morphism, which
+    never reaches the delay search, is refused as a primitive one is."""
+
+    @pytest.mark.parametrize("text", [FIB_TEXT, NONPRIM_TEXT])
+    def test_zero_refused(self, text, morph_file):
+        with pytest.raises(BadParametersError, match="max_delay must be >= 1"):
+            analyze(parse_morphism(text), max_delay=0)
+        code, out, err = invoke(
+            ["analyze", morph_file("m.morph", text), "--json", "--max-delay", "0"]
+        )
+        assert (code, out) == (2, "")
+        assert "max_delay must be >= 1" in err
+
+
+class TestClosureCap:
+    """The empirical bound is refused before a closure whose slice must
+    hold more than CLOSURE_MAX_LETTERS letters; analyze keeps its report."""
+
+    def test_bound_empirical_exits_3(self, morph_file):
+        code, out, err = invoke(
+            ["bound", morph_file("r4.morph", ROADMAP4_TEXT), "--mode", "empirical"]
+        )
+        assert (code, out) == (3, "")
+        assert err == (
+            "subrec: cap exceeded: language closure at length 54210 holds at least"
+            " 2938778310 letters, past the cap 100000000\n"
+        )
+
+    def test_analyze_omits_maindetail(self, morph_file):
+        code, out, _ = invoke(["analyze", morph_file("r4.morph", ROADMAP4_TEXT), "--json"])
+        assert code == 0
+        data = json.loads(out)
+        assert sorted(data["bounds"]) == ["closed_form", "maindetail_certified"]
+        omitted = [w for w in data["warnings"] if w.startswith("bounds.maindetail omitted")]
+        assert len(omitted) == 1 and "language closure at length 54210" in omitted[0]
+
+
 class TestInconclusivePowerIndex:
     """A power past max_k leaves k unpinned: analyze drops the bound that
     needs it, and bound --mode empirical is refused by the cap."""
@@ -347,14 +388,40 @@ class TestWindowCap:
 
 class TestExactCapEnvironment:
     def test_cap_forces_log_form(self, fib, monkeypatch):
-        monkeypatch.setenv("SUBREC_EXACT_CAP", "100")
+        monkeypatch.setattr(recognizability, "DEFAULT_EXACT_CAP", 100)
         b = recognizability_bound(fib, "empirical_exact")
         assert b.bound.exact is None
         assert abs(b.bound.log10 - 6522.07) < 1.0
 
-    def test_bad_cap_rejected(self, fib, monkeypatch):
-        from subrec.errors import InputError
 
-        monkeypatch.setenv("SUBREC_EXACT_CAP", "many")
-        with pytest.raises(InputError):
-            recognizability_bound(fib, "empirical_exact")
+class TestReadmeQuickstart:
+    """The README's CLI transcript, replayed: each ``$ subrec ...`` line runs
+    in a directory holding fib.morph, and the lines shown under it must be
+    its output, line for line.  A command shown without output must exit 0."""
+
+    README = Path(__file__).resolve().parent.parent / "README.md"
+
+    def transcript(self):
+        text = self.README.read_text(encoding="utf-8")
+        section = text.split("## Quickstart (CLI)", 1)[1]
+        block = section.split("```", 2)[1]
+        commands = []
+        for line in block.strip("\n").splitlines():
+            if line.startswith("$ subrec "):
+                commands.append((line[len("$ subrec "):].split(), []))
+            elif line:
+                commands[-1][1].append(line)
+        return commands
+
+    def test_transcript(self, tmp_path, monkeypatch):
+        (tmp_path / "fib.morph").write_text(FIB_TEXT, encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        commands = self.transcript()
+        assert len(commands) >= 3
+        for argv, shown in commands:
+            code, out, err = invoke(argv)
+            assert err == "", argv
+            if shown:
+                assert out.splitlines() == shown, argv
+            else:
+                assert code == 0, argv

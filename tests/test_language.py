@@ -14,7 +14,13 @@ from subrec import (
     return_words,
 )
 from subrec import certified_constants, language, zoo
-from subrec.errors import NotAFactorError, NotPrimitiveError, WindowCapExceededError
+from subrec.errors import (
+    CapExceeded,
+    NotAFactorError,
+    NotAperiodicError,
+    NotPrimitiveError,
+    WindowCapExceededError,
+)
 from subrec.language import BLOCK_SCAN_PERIOD, FactorLanguage, _max_power_exponent
 from subrec.morphism import parse_morphism
 
@@ -167,26 +173,31 @@ class TestReturnWords:
 
 class TestPowerFreeIndex:
     def test_tm(self, tm):
-        result = power_free_index(tm)
-        assert result.kind == "bounded" and result.k == 3
+        assert power_free_index(tm) == 3
 
     def test_fib(self, fib):
-        result = power_free_index(fib)
-        assert result.k == 4
+        assert power_free_index(fib) == 4
 
     def test_periodic_is_unbounded(self, per):
-        assert power_free_index(per).kind == "unbounded"
+        with pytest.raises(NotAperiodicError):
+            power_free_index(per)
 
     def test_max_k_exceeded(self):
         # a 66-th power within the first 10,000 letters: past max_k = 64
         m = parse_morphism(f"a -> {' a' * 65} b\nb -> a")
-        assert power_free_index(m).kind == "inconclusive"
+        message = (
+            "power-free index inconclusive: exponent 66 in the first 10000 letters"
+            " puts k past max_k=64"
+        )
+        with pytest.raises(CapExceeded) as caught:
+            power_free_index(m)
+        assert str(caught.value) == message
 
     def test_oracle_agreement(self):
         for m, rules in RULED:
             window = prefix(rules, language.DEFAULT_SCAN_LEN)
             brute = max_power_exponent_brute(window, 60)
-            assert power_free_index(m).k == brute + 1
+            assert power_free_index(m) == brute + 1
 
     # largest letters needing one, two and three bytes, chr(300) and up among them
     @pytest.mark.parametrize("first,size", [(0, 2), (0, 3), (0, 256), (300, 3), (0, 300), (0, 70_000)])

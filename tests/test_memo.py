@@ -16,7 +16,6 @@ from subrec import (
     is_primitive,
     language_of,
     parse_morphism,
-    power_free_index,
     zoo,
 )
 from subrec.cli import analyze
@@ -39,7 +38,7 @@ def test_memo_outside_equality_hash_and_repr():
 def test_values_shared_per_instance_not_per_value():
     m, twin = parse_morphism(FIB_TEXT), parse_morphism(FIB_TEXT)
     assert language_of(m) is language_of(m)
-    assert power_free_index(m) is power_free_index(m)
+    assert certified_constants(m) is certified_constants(m)
     assert language_of(m) is not language_of(twin)
 
 

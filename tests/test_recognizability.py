@@ -23,10 +23,11 @@ from subrec import (
     synchronizing_point,
     verify_constant,
 )
-from subrec import zoo
+from subrec import power_free_index, recognizability, recurrence_constant_empirical, zoo
 from subrec.cli import _delay_json
 from subrec.errors import (
     BadParametersError,
+    CapExceeded,
     NotAFactorError,
     NotAperiodicError,
     WindowTooSmallError,
@@ -143,6 +144,24 @@ class TestInterpretations:
             for u in sorted(factor_language(m, 3)):
                 for interp in interpretations(m, u):
                     assert (0 in interp.cuts) == (interp.prefix == "")
+
+
+class TestPeriodicRefusal:
+    """Every value that exists only for an aperiodic fixed point refuses a
+    periodic one the same way."""
+
+    def test_same_refusal(self, per):
+        message = "fixed point is periodic (period 2); not recognizable"
+        refusals = [
+            lambda: power_free_index(per),
+            lambda: recurrence_constant_empirical(per),
+            lambda: recognizability_bound(per, "empirical_exact"),
+            lambda: recognizability_bound(per, "certified"),
+        ]
+        for refusal in refusals:
+            with pytest.raises(NotAperiodicError) as caught:
+                refusal()
+            assert str(caught.value) == message
 
 
 class TestFirstImagePass:
@@ -390,6 +409,15 @@ class TestRecognizabilityBound:
             delay = synchronizing_delay(m, 16).delay
             heuristic = minimal_constant_empirical(window_of(m), 1, 16).heuristic
             assert delay <= 2 * heuristic + 1 + 2 * m.widest
+
+    def test_closure_cap_boundary(self, fib, monkeypatch):
+        # R = 24 and N = 2 close the slice at c = 50: at least 51 * 50 letters
+        monkeypatch.setattr(recognizability, "CLOSURE_MAX_LETTERS", 51 * 50 - 1)
+        with pytest.raises(CapExceeded, match="language closure at length 50 holds at least 2550"):
+            recognizability_bound(fib, "empirical_exact")
+        assert recognizability_bound(fib, "certified").R == 112784  # no closure
+        monkeypatch.setattr(recognizability, "CLOSURE_MAX_LETTERS", 51 * 50)
+        assert recognizability_bound(fib, "empirical_exact").Q == 31201
 
     def test_exact_and_log_agree(self, fib):
         b = recognizability_bound(fib, "empirical_exact")
