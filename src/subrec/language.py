@@ -3,20 +3,27 @@
 The factor sets are exact: they are computed as the least fixed point of
 a monotone closure map (seeded from the image of one letter; for a
 primitive morphism any nonempty seed closes to the whole slice), not by
-scanning a finite window and hoping it was long enough.  Window scans are
-used only where the result is explicitly labeled heuristic (return-word
-completeness) or where the window provably suffices.  The aperiodicity
-screen returns the period it finds or None, and require_aperiodic refuses
-a periodic fixed point; power_free_index returns k, or refuses with
-CapExceeded when the scan cannot pin it.
+scanning a finite window and hoping it was long enough.  Long complexity
+counts store no slice at all.  Past a base length t, L_n is exactly the
+set of length-n windows of sigma^j(v) that start inside sigma^j(v[0]),
+for v in L_t and t = ceil((n-1)/<sigma^j>) + 1: sound, since sigma^j(v)
+is a factor; complete, since every point of the shift is a shift of
+sigma^j of a point.  Grouped by a short prefix, these windows come out in
+sorted order one bucket at a time, which is all the neighbour-LCP count
+of p(k) reads (see FactorLanguage).  Window scans are used only where
+the result is explicitly labeled heuristic (return-word completeness) or
+where the window provably suffices.  The aperiodicity screen returns the
+period it finds or None, and require_aperiodic refuses a periodic fixed
+point; power_free_index returns k, or refuses with CapExceeded when the
+scan cannot pin it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from typing import Literal
+from itertools import accumulate, pairwise
+from typing import Iterable, Iterator, Literal
 
 from .errors import (
     BadParametersError,
@@ -35,6 +42,18 @@ RECURRENCE_MAX_LEN = 4  # factor lengths of the empirical recurrence scan
 RETURN_WINDOW_CAP = 1_000_000  # letters of the longest return-word scan window
 # Periods from here on are scanned by aligned blocks (_max_power_exponent).
 BLOCK_SCAN_PERIOD = 64
+# Slices up to this length are closed and stored; longer counts stream from
+# the sigma^j-images of a base slice no longer than this.  It is the length
+# the aperiodicity screen closes anyway, so a streamed count after the
+# screen derives its base slice by prefix-slicing and closes nothing new.
+STREAM_BASE = 200
+# The streamed windows are bucketed by their first ell letters, ell the least
+# length with p(ell) >= STREAM_BUCKETS, so one bucket holds about
+# 1/STREAM_BUCKETS of L_n.  64 is at the knee: counting L_6899 of
+# f -> uu, p -> fux, u -> ux, x -> xp (40,190 words) peaks at 295, 87, 34
+# and 28 MB RSS with 1, 8, 64 and 512 buckets, in times within 15 % of
+# each other, and the base slice and the interpreter take about 25 MB.
+STREAM_BUCKETS = 64
 
 
 @dataclass(frozen=True)
@@ -56,16 +75,18 @@ class RecurrenceEstimate:
 
 
 class FactorLanguage:
-    """Lazily computed exact factor sets of one primitive morphism.
+    """Lazily computed exact factor sets and complexity of one primitive
+    morphism.
 
-    The closure runs at a single target length c.  It starts from the
-    length-c windows of a long enough image of one letter, and each round
-    expands only the words the previous round added: from sigma(w) it
-    keeps the length-c windows that start inside sigma(w[0]), at offsets
-    o < |sigma(w[0])|.  sigma is applied to the prefix w[:t] alone, with
-    t = ceil((c-1)/<sigma>) + 1, since |sigma(w[:t])| >= |sigma(w[0])| +
-    (t-1)<sigma> >= o + c already covers every such window.  The least
-    fixed point above the seed is exactly the length-c slice L_c:
+    Slices are built by one closure at a single target length c.  It
+    starts from the length-c windows of a long enough image of one letter,
+    and each round expands only the words the previous round added: from
+    sigma(w) it keeps the length-c windows that start inside sigma(w[0]),
+    at offsets o < |sigma(w[0])|.  sigma is applied to the prefix w[:t]
+    alone, with t = ceil((c-1)/<sigma>) + 1, since |sigma(w[:t])| >=
+    |sigma(w[0])| + (t-1)<sigma> >= o + c already covers every such
+    window.  The least fixed point above the seed is exactly the length-c
+    slice L_c:
 
     - sound: each window kept is a factor of sigma(w), w in the language;
     - complete: take u in L_c and a seed word w_s placed in a point y of
@@ -78,14 +99,36 @@ class FactorLanguage:
     in one pass: in sorted order two neighbours have different length-k
     prefixes iff their longest common prefix is shorter than k, so
     p(k) = 1 + #{neighbour pairs with LCP < k} for every k up to c.
+
+    Up to STREAM_BASE, ensure(n) closes and stores L_n.  Past it, the
+    count reads L_n in sorted order from a stream and stores no length-n
+    slice.  Take the least j >= 1 with t = ceil((n-1)/<sigma^j>) + 1 <=
+    STREAM_BASE.  Then L_n is exactly the set of length-n windows of
+    sigma^j(v) that start inside sigma^j(v[0]), for v in L_t:
+
+    - sound: sigma^j(v) is a factor, so each of its windows is one;
+    - complete: every point x of the shift is S^o sigma^j(y) for a point
+      y and an offset o < |sigma^j(y_0)| (primitive sigma^j maps the shift
+      into itself and covers it up to shifts), so the length-n factor of
+      x at 0 is the window at o of sigma^j(v), v = y[0:t] in L_t;
+    - each of these windows fits: |sigma^j(v)| >= |sigma^j(v[0])| +
+      (t-1)<sigma^j> >= |sigma^j(v[0])| + n - 1.
+
+    The (image, offset) pairs are grouped by their first ell letters, ell
+    the least length with p(ell) >= STREAM_BUCKETS.  Two words with
+    different ell-prefixes sort as their prefixes do, so the buckets in
+    key order, each deduplicated and sorted, spell L_n in sorted order,
+    and the neighbour count above runs over that stream unchanged (a pair
+    across two buckets has the LCP of their keys).  At most one bucket of
+    length-n words is alive at a time.
     """
 
     def __init__(self, m: Morphism):
         require_primitive(m)
         self.morphism = m
         self._slices: dict[int, frozenset[Word]] = {}
-        self._closed_at = 0
-        self._counts = [1]  # p(k) for k <= _closed_at
+        self._closed_at = 0  # length of the longest stored slice
+        self._counts = [1]  # p(k) for k < len(_counts)
 
     def _closure(self, c: int) -> frozenset[Word]:
         m = self.morphism
@@ -108,17 +151,48 @@ class FactorLanguage:
             closed |= frontier
         return frozenset(closed)
 
+    def _close(self, n: int) -> frozenset[Word]:
+        """Close and store L_n, counting p(k) from it when that reaches
+        past the counts held."""
+        words = self._slices[n] = self._closure(n)
+        self._closed_at = n
+        if n >= len(self._counts):
+            self._counts = _prefix_counts(sorted(words), n)
+        return words
+
+    def _sorted_windows(self, n: int) -> Iterator[Word]:
+        """L_n in sorted order, one prefix bucket at a time (see the class
+        docstring); n > STREAM_BASE and |sigma| > 1."""
+        m = self.morphism
+        images = m.images
+        while (t := -(-(n - 1) // min(map(len, images))) + 1) > STREAM_BASE:
+            images = tuple(m.apply(w) for w in images)
+        base = self.slice(t)
+        counts = self._counts
+        ell = next((k for k, p in enumerate(counts) if p >= STREAM_BUCKETS), len(counts) - 1)
+        buckets: dict[Word, list[tuple[Word, int]]] = {}
+        for v in base:
+            lead = len(images[ord(v[0])])
+            text = "".join(images[ord(c)] for c in v)[: lead + n - 1]
+            for o in range(lead):
+                buckets.setdefault(text[o : o + ell], []).append((text, o))
+        for key in sorted(buckets):
+            yield from sorted({text[o : o + n] for text, o in buckets.pop(key)})
+
     def ensure(self, n: int):
-        """Run the closure at length n and count p(k) for every k <= n;
-        shorter slices then derive by prefix-slicing.  Call before
-        ascending complexity loops."""
-        if n > self._closed_at:
-            words = self._closure(n)
-            self._slices[n] = words
-            self._closed_at = n
-            self._counts = _prefix_counts(words, n)
+        """Count p(k) for every k <= n: by closing and storing L_n up to
+        STREAM_BASE, by streaming past it.  Call before ascending
+        complexity loops."""
+        if n < len(self._counts):
+            return
+        if n <= STREAM_BASE or self.morphism.widest == 1:
+            self._close(n)
+        else:
+            self._counts = _prefix_counts(self._sorted_windows(n), n)
 
     def slice(self, n: int) -> frozenset[Word]:
+        """L_n: a prefix set of the longest stored slice, or closed anew
+        past it."""
         if n < 0:
             raise BadParametersError("factor length must be >= 0")
         if n == 0:
@@ -127,17 +201,15 @@ class FactorLanguage:
         if cached is not None:
             return cached
         if n > self._closed_at:
-            self.ensure(n)
-        else:
-            longer = self.slice(self._closed_at)
-            self._slices[n] = frozenset({w[:n] for w in longer})
-        return self._slices[n]
+            return self._close(n)
+        words = self._slices[n] = frozenset({w[:n] for w in self._slices[self._closed_at]})
+        return words
 
     def complexity(self, n: int) -> int:
-        """p(n), read from the counts of the longest closed slice."""
+        """p(n), read from the counts (see ensure)."""
         if n < 0:
             raise BadParametersError("factor length must be >= 0")
-        if n > self._closed_at:
+        if n >= len(self._counts):
             self.ensure(n)
         return self._counts[n]
 
@@ -145,23 +217,24 @@ class FactorLanguage:
         return word in self.slice(len(word))
 
 
-def _common_prefix(a: Word, b: Word) -> int:
-    """Length of the longest common prefix of a and b, by bisection."""
-    lo, hi = 0, min(len(a), len(b))
+def _common_prefix(a: Word, b: Word, i: int = 0, j: int = 0) -> int:
+    """Length of the longest common prefix of a[i:] and b[j:], by
+    bisection.  Each step copies only the letters of b not yet known to
+    agree and compares them in place in a, so neither tail is copied."""
+    lo, hi = 0, min(len(a) - i, len(b) - j)
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if a[:mid] == b[:mid]:
+        if a.startswith(b[j + lo : j + mid], i + lo):
             lo = mid
         else:
             hi = mid - 1
     return lo
 
 
-def _prefix_counts(words: frozenset[Word], n: int) -> list[int]:
-    """[p(0), ..., p(n)] for a set of distinct length-n words."""
+def _prefix_counts(ordered: Iterable[Word], n: int) -> list[int]:
+    """[p(0), ..., p(n)] for distinct length-n words in sorted order."""
     below = [0] * n  # below[l]: sorted neighbours whose LCP is l < n
-    ordered = sorted(words)
-    for a, b in zip(ordered, ordered[1:]):
+    for a, b in pairwise(ordered):
         below[_common_prefix(a, b)] += 1
     return list(accumulate(below, initial=1))
 
@@ -206,10 +279,14 @@ def fixed_point_prefix(m: Morphism, length: int) -> Word:
     if m.widest == 1:
         return chr(0) * length
     letter, e = right_prolongable_letter(m)
-    word = letter
+    # The longest prefix built so far, sigma^(e*i)(letter) for some i, is
+    # kept on the morphism: each sigma^e step extends it as a prefix.
+    key = (fixed_point_prefix, "ray")
+    word = m._memo.get(key, letter)
     while len(word) < length:
         for _ in range(e):
             word = m.apply(word)
+    m._memo[key] = word
     return word[:length]
 
 
@@ -344,8 +421,8 @@ def _max_power_exponent(text: Word) -> int:
             if text[j : j + h] != text[j + p : j + p + h]:
                 j += h
                 continue
-            ahead = _common_prefix(text[j:], text[j + p :])
-            behind = _common_prefix(reverse[n - j :], reverse[n - j - p :])
+            ahead = _common_prefix(text, text, j, j + p)
+            behind = _common_prefix(reverse, reverse, n - j, n - j - p)
             best = max(best, (behind + ahead) // p + 1)
             h = -(-best * p // 2)
             j = (j + ahead) // h * h + h

@@ -29,6 +29,7 @@ from .errors import (
     InputError,
     MorphismSyntaxError,
     NotPrimitiveError,
+    SubrecError,
     UnknownLetterError,
 )
 
@@ -264,16 +265,24 @@ def per_morphism(fn):
     """Memoize ``fn(m, *args)`` on the morphism ``m``.
 
     Values are keyed by the arguments as given and live exactly as long
-    as ``m``.  Exceptions are not stored, so a refused call is refused
-    again."""
+    as ``m``.  A library refusal (a :class:`SubrecError`) is stored too:
+    a later call raises it again, with a fresh traceback, and does not
+    run ``fn`` a second time.  Other exceptions are not stored."""
 
     @functools.wraps(fn)
     def memoized(m: Morphism, *args):
         key = (fn, args)
         memo = m._memo
         if key not in memo:
-            memo[key] = fn(m, *args)
-        return memo[key]
+            try:
+                memo[key] = fn(m, *args)
+            except SubrecError as exc:
+                memo[key] = exc
+                raise
+        value = memo[key]
+        if isinstance(value, SubrecError):
+            raise value.with_traceback(None)
+        return value
 
     return memoized
 

@@ -45,9 +45,11 @@ from .morphism import (
 )
 
 DEFAULT_EXACT_CAP = 10**6  # decimal digits; past it a value is carried in logarithmic form
-# Letters the empirical bound's language closure may hold.  Morse-Hedlund
-# gives p(c) >= c + 1 for an aperiodic word, so the slice closed at length c
-# holds at least (c + 1) c letters: past the cap it is refused up front.
+# Letters the empirical bound's count of p(i), i <= c, may read.  The count
+# streams L_c and holds one prefix bucket of it at a time, but it reads every
+# word: Morse-Hedlund gives p(c) >= c + 1 for an aperiodic word, so that is
+# at least (c + 1) c letters, and past the cap the bound is refused up front.
+# The refusal still names them as the letters the closure at length c holds.
 CLOSURE_MAX_LETTERS = 10**8
 
 
@@ -406,14 +408,17 @@ def exact_ratio_constant(m: Morphism) -> tuple[int, tuple[str, ...]]:
     maximum, escalated to the best stride bound when necessary."""
     require_primitive(m)
     span = 4 * m.size * m.size
-    sampled = Fraction(1)
-    for n in range(1, span + 1):
-        widest, narrowest = extreme_lengths(m, n)
-        sampled = max(sampled, Fraction(widest, narrowest))
-    stride_bounds = []
-    for t in range(primitivity(m), span + 1):
-        widest, narrowest = extreme_lengths(m, t)
-        stride_bounds.append(widest - narrowest + 1)
+    # (|sigma^n|, <sigma^n>) for n = 1..span, from the running row vector
+    # 1^T M^n of image lengths: |sigma^n(a)| sums |sigma^(n-1)(c)| over
+    # the letters c of sigma(a).
+    lengths, extremes = [1] * m.size, []
+    for _ in range(span):
+        lengths = [sum(lengths[ord(c)] for c in image) for image in m.images]
+        extremes.append((max(lengths), min(lengths)))
+    sampled = max(Fraction(widest, narrowest) for widest, narrowest in extremes)
+    stride_bounds = [
+        widest - narrowest + 1 for widest, narrowest in extremes[primitivity(m) - 1 :]
+    ]
     sampled_int = -(-sampled.numerator // sampled.denominator)
     n_exact = max(sampled_int, min(stride_bounds))
     warnings = ()

@@ -1,6 +1,10 @@
 import io
 import json
+import os
 import re
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,6 +20,8 @@ NONPRIM_TEXT = "a -> a\nb -> a b\n"
 # the empirical bound's closure at length 54,210 would hold over 2.9e9 letters
 ROADMAP4_TEXT = "a -> b c\nb -> a a d\nc -> b b d\nd -> d b b\n"
 LONG_A_TEXT = f"a -> {' a' * 65} b\nb -> a\n"  # a 66-th power within 10,000 letters
+# N = 11, R = 627: the empirical bound counts p(i) up to 6899
+STREAM_TEXT = "f -> u u\np -> f u x\nu -> u x\nx -> x p\n"
 # 12-uniform on four letters: the certified R has 88 digits
 U12_TEXT = (
     "a -> a b a c a d b b c a d a\nb -> b c b a d d a c b a b c\n"
@@ -308,6 +314,23 @@ class TestClosureCap:
             "subrec: cap exceeded: language closure at length 54210 holds at least"
             " 2938778310 letters, past the cap 100000000\n"
         )
+
+    def test_bound_empirical_streams_under_address_cap(self, morph_file):
+        """R*N+2 = 6899 here, and L_6899 holds 40,190 words: stored, the
+        slice needs over 400 MB.  The streamed count fits a 200 MB
+        address-space cap with room to spare."""
+        path = morph_file("stream.morph", STREAM_TEXT)
+        cap = 200 << 20
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from subrec.cli import main; sys.exit(main())",
+             "bound", "--mode", "empirical", "--json", path],
+            env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src")),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        detail = json.loads(proc.stdout)["maindetail"]
+        assert (detail["N"], detail["R"], detail["Q"]) == ("11", "627", "505597640176")
 
     def test_analyze_omits_maindetail(self, morph_file):
         code, out, _ = invoke(["analyze", morph_file("r4.morph", ROADMAP4_TEXT), "--json"])

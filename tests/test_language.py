@@ -21,7 +21,12 @@ from subrec.errors import (
     NotPrimitiveError,
     WindowCapExceededError,
 )
-from subrec.language import BLOCK_SCAN_PERIOD, FactorLanguage, _max_power_exponent
+from subrec.language import (
+    BLOCK_SCAN_PERIOD,
+    FactorLanguage,
+    _max_power_exponent,
+    _prefix_counts,
+)
 from subrec.morphism import parse_morphism
 
 from oracles import (
@@ -47,6 +52,10 @@ RULED = [
 
 def decoded(m, words):
     return sorted(m.decode(w) for w in words)
+
+
+def parsed(rules):
+    return parse_morphism("\n".join(f"{a} -> {' '.join(image)}" for a, image in rules.items()))
 
 
 class TestFactorLanguage:
@@ -77,7 +86,7 @@ class TestFactorLanguage:
         drawn = random_primitive_rules(random.Random(8), 60, (1, 5), (1, 4))
         assert any(min(map(len, rules.values())) == 1 for rules in drawn)  # <sigma> = 1
         for rules in drawn:
-            m = parse_morphism("\n".join(f"{a} -> {' '.join(image)}" for a, image in rules.items()))
+            m = parsed(rules)
             for c in (1, 2, 5, 17, 40):
                 expected = sorted(closure_reference(rules, c))
                 lang = FactorLanguage(m)
@@ -87,6 +96,32 @@ class TestFactorLanguage:
                     assert decoded(m, words) == expected, (rules, c)
                     for k in range(c + 1):
                         assert lang.complexity(k) == len({w[:k] for w in words})
+
+    def test_streamed_counts_match_closure(self, monkeypatch):
+        """Past STREAM_BASE, ensure counts p(k) from sigma^j-windows of the
+        base slice, one prefix bucket at a time, and stores no slice.  The
+        counts equal those of the full-window reference and of the
+        fixpoint closure, and slices on both sides of the base stay exact."""
+        drawn = random_primitive_rules(random.Random(16), 12, (2, 4), (1, 3))
+        drawn.append({"a": "a"})  # the one-letter identity: closed, never streamed
+        cases = [(rules, parsed(rules)) for rules in drawn]
+        assert any(m.narrowest == 1 < m.widest for _, m in cases)  # <sigma> = 1
+        assert any(aperiodicity_check(m) is not None for _, m in cases[:-1])  # periodic
+        for rules, m in cases:
+            reference = [m.encode(w) for w in closure_reference(rules, 150)]
+            counts = [len({w[:k] for w in reference}) for k in range(151)]
+            assert _prefix_counts(sorted(FactorLanguage(m)._closure(150)), 150) == counts
+            for base, buckets in ((8, 2), (8, 64), (12, 2), (12, 64)):
+                monkeypatch.setattr(language, "STREAM_BASE", base)
+                monkeypatch.setattr(language, "STREAM_BUCKETS", buckets)
+                for n in (13, 40, 150):
+                    lang = FactorLanguage(m)
+                    lang.ensure(n)
+                    assert lang._counts == counts[: n + 1], (rules, base, buckets, n)
+                    assert (n in lang._slices) == (m.widest == 1)
+                    for k in (base - 1, base, base + 1, n):
+                        assert lang.slice(k) == {w[:k] for w in reference}
+                        assert lang.complexity(k) == counts[k]
 
     def test_extension_closure(self):
         for m in ZOO:
@@ -312,3 +347,11 @@ class TestFixedPointPrefix:
     def test_matches_oracle(self):
         for m, rules in RULED:
             assert m.decode(fixed_point_prefix(m, 500)) == prefix(rules, 500)
+
+    def test_kept_ray_serves_any_length(self):
+        """The longest prefix built so far is kept on the morphism and
+        sliced: shorter and longer requests after it match the oracle."""
+        for _, rules in RULED:
+            m = parsed(rules)
+            for length in (500, 37, 3000, 1):
+                assert m.decode(fixed_point_prefix(m, length)) == prefix(rules, length)

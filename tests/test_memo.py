@@ -7,6 +7,8 @@ import gc
 import pickle
 import weakref
 
+import pytest
+
 from subrec import (
     aperiodicity_check,
     certified_constants,
@@ -16,14 +18,17 @@ from subrec import (
     is_primitive,
     language_of,
     parse_morphism,
+    power_free_index,
     zoo,
 )
 from subrec.cli import analyze
+from subrec.errors import CapExceeded
 from subrec.language import _max_power_exponent
 from subrec.morphism import Morphism
 
 FIB_TEXT = "a -> a b\nb -> a"
 AAB_TEXT = "a -> a a b\nb -> b c a\nc -> c a b"
+LONG_A_TEXT = "a -> " + "a " * 65 + "b\nb -> a"  # power-free index past DEFAULT_MAX_K
 
 
 def test_memo_outside_equality_hash_and_repr():
@@ -64,16 +69,34 @@ def test_morphism_and_language_are_freed():
 
 
 def test_one_analysis_runs_each_body_once():
-    m = parse_morphism(AAB_TEXT)  # fresh instance: empty memo
-    profile = cProfile.Profile()
-    profile.runcall(analyze, m)
-    counts = {entry.code: entry.callcount for entry in profile.getstats()}
-    assert counts.get(_max_power_exponent.__code__) == 1
-    assert counts.get(certified_constants.__wrapped__.__code__) == 1
-    # the primitivity, aperiodicity and injectivity guards
-    assert counts.get(is_primitive.__code__) == 1
-    assert counts.get(aperiodicity_check.__wrapped__.__code__) == 1
-    assert counts.get(injectivity_exponent.__wrapped__.__code__) == 1
+    """Each guard and scan runs once per analysis, also when the power
+    scan refuses (LONG_A_TEXT): the refusal is stored and raised again
+    for the bound."""
+    for text in (AAB_TEXT, LONG_A_TEXT):
+        m = parse_morphism(text)  # fresh instance: empty memo
+        profile = cProfile.Profile()
+        profile.runcall(analyze, m)
+        counts = {entry.code: entry.callcount for entry in profile.getstats()}
+        assert counts.get(_max_power_exponent.__code__) == 1, text
+        assert counts.get(certified_constants.__wrapped__.__code__) == 1
+        # the primitivity, aperiodicity and injectivity guards
+        assert counts.get(is_primitive.__code__) == 1
+        assert counts.get(aperiodicity_check.__wrapped__.__code__) == 1
+        assert counts.get(injectivity_exponent.__wrapped__.__code__) == 1
+
+
+def test_refusal_is_stored_and_raised_with_a_fresh_traceback():
+    m = parse_morphism(LONG_A_TEXT)
+    depths = []
+    for _ in range(3):
+        with pytest.raises(CapExceeded) as info:
+            power_free_index(m)
+        tb, depth = info.tb, 0
+        while tb is not None:
+            tb, depth = tb.tb_next, depth + 1
+        depths.append(depth)
+    # the first call raises inside the body; later ones only re-raise
+    assert depths[0] > depths[1] == depths[2]
 
 
 def test_closure_expands_each_word_once():
