@@ -11,7 +11,6 @@ from subrec import (
     factor_language,
     power_free_index,
     recurrence_constant_empirical,
-    return_words,
 )
 from subrec import zoo
 from subrec.errors import NotAperiodicError
@@ -24,12 +23,6 @@ for name, m in [("fibonacci", zoo.FIBONACCI), ("thue-morse", zoo.THUE_MORSE), ("
 print("\nlength-3 factors of the Thue-Morse language:")
 tm = zoo.THUE_MORSE
 print("  ", sorted(tm.decode(w) for w in factor_language(tm, 3)))
-
-print("\nreturn words (heuristic completeness label is part of the result):")
-for text in ("a", "ab"):
-    rws = return_words(zoo.FIBONACCI, zoo.FIBONACCI.encode(text))
-    words = sorted(zoo.FIBONACCI.decode(r) for r in rws.returns)
-    print(f"  fibonacci, {text!r}: {words}  [{rws.completeness}, window {rws.window_scanned}]")
 
 print("\npower-free indices (exhaustive scan of a 10^4 window):")
 for name, m in [("thue-morse", zoo.THUE_MORSE), ("fibonacci", zoo.FIBONACCI), ("periodic", zoo.PERIODIC)]:
@@ -45,8 +38,5 @@ for name, m in [("fibonacci", zoo.FIBONACCI), ("periodic", zoo.PERIODIC)]:
     shown = f"periodic, period {period}" if period else f"aperiodic up to n={DEFAULT_APERIODICITY_N}"
     print(f"  {name:11} -> {shown}")
 
-estimate = recurrence_constant_empirical(zoo.FIBONACCI)
-print(
-    f"\nempirical recurrence ratio for fibonacci (lengths <= {RECURRENCE_MAX_LEN}): {estimate.ratio}"
-    f" at u = {zoo.FIBONACCI.decode(estimate.witness)!r}"
-)
+ratio = recurrence_constant_empirical(zoo.FIBONACCI)
+print(f"\nempirical recurrence ratio for fibonacci (lengths <= {RECURRENCE_MAX_LEN}): {ratio}")

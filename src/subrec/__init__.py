@@ -17,8 +17,6 @@ from .fixedpoint import (
 )
 from .language import (
     FactorLanguage,
-    RecurrenceEstimate,
-    ReturnWordSet,
     aperiodicity_check,
     complexity,
     factor_language,
@@ -26,7 +24,6 @@ from .language import (
     language_of,
     power_free_index,
     recurrence_constant_empirical,
-    return_words,
 )
 from .morphism import (
     FixedPointSeed,
@@ -82,12 +79,9 @@ __all__ = [
     "admissible_seeds",
     "power_scaled_constant",
     "FactorLanguage",
-    "ReturnWordSet",
-    "RecurrenceEstimate",
     "language_of",
     "factor_language",
     "complexity",
-    "return_words",
     "power_free_index",
     "recurrence_constant_empirical",
     "aperiodicity_check",

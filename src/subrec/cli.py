@@ -158,6 +158,8 @@ def _human_report(report: dict) -> str:
     delay = report["delay"]
     if delay.get("C") is not None:
         lines.append(f"delay                C={delay['C']}  L_from_C={delay['L_from_C']}")
+    elif delay.get("n_max") is None:
+        lines.append("delay                search not run")
     else:
         lines.append(f"delay                none up to n={delay.get('n_max')}")
     emp = report["empirical"]
@@ -213,7 +215,7 @@ def analyze(
             "seeds": {"power": None, "pairs": []},
             "constants": {"widest": str(m.widest), "narrowest": str(m.narrowest)},
             "complexity": [],
-            "delay": {"C": None, "L_from_C": None, "n_max": 0, "failures": []},
+            "delay": {"C": None, "L_from_C": None, "n_max": None, "failures": []},
             "empirical": None,
             "bounds": {},
         }
@@ -246,9 +248,13 @@ def analyze(
             constants["k"] = str(power_free_index(m))
         except CapExceeded:
             constants["k"] = "inconclusive"
-        k_emp = recurrence_constant_empirical(m)
-        constants["K_emp"] = str(k_emp.ratio)
-        warnings.append(f"K_emp is a lower bound from a length-{RECURRENCE_MAX_LEN} scan")
+        try:
+            constants["K_emp"] = str(recurrence_constant_empirical(m))
+        except CapExceeded as exc:
+            constants["K_emp"] = "inconclusive"
+            warnings.append(f"K_emp omitted: {exc}")
+        else:
+            warnings.append(f"K_emp is a lower bound from a length-{RECURRENCE_MAX_LEN} scan")
 
     report["complexity"] = [complexity(m, n) for n in range(1, DEFAULT_N_REPORT + 1)]
 

@@ -78,7 +78,3 @@ class SizeExceededError(CapExceeded):
         super().__init__(f"word of length {needed} exceeds cap {cap}")
         self.needed = needed
         self.cap = cap
-
-
-class WindowCapExceededError(CapExceeded):
-    """The scan would need a window longer than the configured cap."""

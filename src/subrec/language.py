@@ -10,28 +10,28 @@ for v in L_t and t = ceil((n-1)/<sigma^j>) + 1: sound, since sigma^j(v)
 is a factor; complete, since every point of the shift is a shift of
 sigma^j of a point.  Grouped by a short prefix, these windows come out in
 sorted order one bucket at a time, which is all the neighbour-LCP count
-of p(k) reads (see FactorLanguage).  Window scans are used only where
-the result is explicitly labeled heuristic (return-word completeness) or
-where the window provably suffices.  The aperiodicity screen returns the
-period it finds or None, and require_aperiodic refuses a periodic fixed
-point; power_free_index returns k, or refuses with CapExceeded when the
-scan cannot pin it.
+of p(k) reads (see FactorLanguage).  Fixed-point prefixes are scanned
+only for screens and lower bounds, each reported as such.  The
+aperiodicity screen returns the period it finds or None, and
+require_aperiodic refuses a periodic fixed point; power_free_index
+returns k, or refuses with CapExceeded when the scan cannot pin it;
+recurrence_constant_empirical returns the recurrence ratio K_emp, a
+lower bound for the linear-recurrence constant that enters no bound, or
+refuses with CapExceeded when its return-word scan outgrows
+RETURN_WINDOW_CAP.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, pairwise
-from typing import Iterable, Iterator, Literal
+from typing import Iterable, Iterator
 
 from .errors import (
     BadParametersError,
     CapExceeded,
-    NotAFactorError,
     NotAperiodicError,
     NotPrimitiveError,
-    WindowCapExceededError,
 )
 from .morphism import Morphism, Word, end_letters, per_morphism, require_primitive
 
@@ -54,24 +54,6 @@ STREAM_BASE = 200
 # and 28 MB RSS with 1, 8, 64 and 512 buckets, in times within 15 % of
 # each other, and the base slice and the interpreter take about 25 MB.
 STREAM_BUCKETS = 64
-
-
-@dataclass(frozen=True)
-class ReturnWordSet:
-    """Return words to a base word u: each r has ru in the language, u as a
-    prefix of ru, and exactly two occurrences of u inside ru."""
-
-    base: Word
-    returns: frozenset[Word]
-    completeness: Literal["certified", "heuristic"]
-    window_scanned: int
-
-
-@dataclass(frozen=True)
-class RecurrenceEstimate:
-    ratio: Fraction
-    witness: Word  # the base word achieving the ratio
-    longest_return: Word
 
 
 class FactorLanguage:
@@ -290,56 +272,35 @@ def fixed_point_prefix(m: Morphism, length: int) -> Word:
     return word[:length]
 
 
-def _occurrences(text: Word, u: Word) -> list[int]:
-    out = []
-    i = text.find(u)
-    while i != -1:
-        out.append(i)
-        i = text.find(u, i + 1)
-    return out
+def _longest_return(m: Morphism, u: Word) -> int:
+    """Length of the longest return word to u (a word r with ru a factor,
+    u a prefix of ru and exactly two occurrences of u in ru) seen in a
+    fixed-point prefix, by windows of doubling length.
 
-
-def return_words(m: Morphism, u: Word) -> ReturnWordSet:
-    """Return words to u, by scanning fixed-point windows of doubling length.
-
-    The scan stops when the set is unchanged across two consecutive
-    doublings and every return word fits in a quarter of the window.  The
-    result is labeled "certified" only when the window provably contains
-    every return word (linear recurrence with the certified constant),
-    which at desk scale essentially never happens; otherwise "heuristic".
+    The scan stops once two consecutive doublings add no new return word
+    and the longest fits in a quarter of the window.  Each window is a
+    prefix of the next, so every doubling resumes the search at the last
+    occurrence found and only grows the set.
     """
-    if not u:
-        raise BadParametersError("u must be non-empty")
-    if u not in language_of(m):
-        raise NotAFactorError(f"{m.decode(u)!r} is not a factor")
-
-    from .recognizability import certified_constants  # cycle-free at runtime
-
     window = max(64, 16 * len(u))
-    previous: frozenset[Word] | None = None
+    returns: set[Word] = set()
+    last = -1
     stable_streak = 0
     while True:
         if window > RETURN_WINDOW_CAP:
-            raise WindowCapExceededError(
-                f"return-word scan needs window > cap {RETURN_WINDOW_CAP}"
-            )
+            raise CapExceeded(f"return-word scan needs window > cap {RETURN_WINDOW_CAP}")
         text = fixed_point_prefix(m, window)
-        pos = _occurrences(text, u)
-        found = frozenset(text[i:j] for i, j in zip(pos, pos[1:]))
-        if found and previous == found:
-            stable_streak += 1
-        else:
-            stable_streak = 0
-        previous = found
-        longest = max((len(r) for r in found), default=window)
+        known = len(returns)
+        nxt = text.find(u, last + 1)
+        while nxt != -1:
+            if last != -1:
+                returns.add(text[last:nxt])
+            last, nxt = nxt, text.find(u, nxt + 1)
+        stable_streak = stable_streak + 1 if returns and len(returns) == known else 0
+        longest = max(map(len, returns), default=window)
         if stable_streak >= 2 and longest <= window // 4:
-            break
+            return longest
         window *= 2
-
-    k_cert = certified_constants(m).K_cert
-    certified_window = (k_cert + 1) * (k_cert + 1) * len(u)
-    completeness = "certified" if window >= certified_window else "heuristic"
-    return ReturnWordSet(u, found, completeness, window)
 
 
 @per_morphism
@@ -450,23 +411,14 @@ def power_free_index(m: Morphism) -> int:
 
 
 @per_morphism
-def recurrence_constant_empirical(m: Morphism) -> RecurrenceEstimate:
-    """Lower bound for the linear-recurrence constant K.
-
-    Maximizes (longest return word to u) / |u| over all factors u of
-    length <= RECURRENCE_MAX_LEN; exact rational, with the achieving word.
-    """
+def recurrence_constant_empirical(m: Morphism) -> Fraction:
+    """Lower bound for the linear-recurrence constant K: the largest
+    (longest return word to u) / |u| over the factors u of length <=
+    RECURRENCE_MAX_LEN, an exact rational."""
     require_aperiodic(m)
     lang = language_of(m)
-    best: RecurrenceEstimate | None = None
-    for n in range(1, RECURRENCE_MAX_LEN + 1):
-        for u in sorted(lang.slice(n)):
-            rws = return_words(m, u)
-            if not rws.returns:
-                continue
-            longest = max(rws.returns, key=len)
-            ratio = Fraction(len(longest), n)
-            if best is None or ratio > best.ratio:
-                best = RecurrenceEstimate(ratio, u, longest)
-    assert best is not None
-    return best
+    return max(
+        Fraction(_longest_return(m, u), n)
+        for n in range(1, RECURRENCE_MAX_LEN + 1)
+        for u in sorted(lang.slice(n))
+    )

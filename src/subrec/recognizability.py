@@ -462,7 +462,7 @@ def recognizability_bound(
         k = power_free_index(m)
         n_value, n_warnings = exact_ratio_constant(m)
         warnings.extend(n_warnings)
-        k_ratio: Fraction | int = recurrence_constant_empirical(m).ratio
+        k_ratio: Fraction | int = recurrence_constant_empirical(m)
         warnings.append(f"K is an empirical lower bound (scan up to length {RECURRENCE_MAX_LEN})")
     elif mode == "certified":
         certs = certified_constants(m)

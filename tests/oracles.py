@@ -9,6 +9,8 @@ by cumulative sums over independently expanded preimage words.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 FIB_RULES = {"a": "ab", "b": "a"}
 TM_RULES = {"a": "ab", "b": "ba"}
 TRIB_RULES = {"a": "ab", "b": "ac", "c": "a"}
@@ -121,6 +123,34 @@ def occurrences(text: str, u: str) -> list[int]:
 def return_words_scan(text: str, u: str) -> set[str]:
     pos = occurrences(text, u)
     return {text[i:j] for i, j in zip(pos, pos[1:])}
+
+
+def recurrence_ratio_reference(
+    rules: dict[str, str], max_len: int = 4, cap: int = 1_000_000
+) -> Fraction | None:
+    """max (longest return word to u) / |u| over the factors u of length
+    <= max_len, or None when some u needs a window past cap.
+
+    Each u is scanned afresh on fixed-point prefixes of doubling length,
+    starting at max(64, 16|u|), until the return-word set is unchanged
+    across two doublings and its longest word fits in a quarter of the
+    window; every window is rescanned from its first letter."""
+    best = Fraction(0)
+    for n in range(1, max_len + 1):
+        for u in sorted(closure_reference(rules, n)):
+            window, previous, streak = max(64, 16 * n), None, 0
+            while True:
+                if window > cap:
+                    return None
+                found = return_words_scan(prefix(rules, window), u)
+                streak = streak + 1 if found and found == previous else 0
+                previous = found
+                longest = max(map(len, found), default=window)
+                if streak >= 2 and longest <= window // 4:
+                    break
+                window *= 2
+            best = max(best, Fraction(longest, n))
+    return best
 
 
 def incidence(rules: dict[str, str]) -> tuple[list[str], list[list[int]]]:

@@ -1,3 +1,4 @@
+import cProfile
 import io
 import json
 import os
@@ -10,7 +11,13 @@ from pathlib import Path
 import pytest
 
 from subrec.cli import DEFAULT_MAX_LETTERS, analyze, emit_report, run
-from subrec import parse_morphism, recognizability, recognizability_bound, zoo
+from subrec import (
+    parse_morphism,
+    recognizability,
+    recognizability_bound,
+    recurrence_constant_empirical,
+    zoo,
+)
 from subrec.errors import BadParametersError
 
 FIB_TEXT = "a -> a b\nb -> a\n"
@@ -20,6 +27,8 @@ NONPRIM_TEXT = "a -> a\nb -> a b\n"
 # the empirical bound's closure at length 54,210 would hold over 2.9e9 letters
 ROADMAP4_TEXT = "a -> b c\nb -> a a d\nc -> b b d\nd -> d b b\n"
 LONG_A_TEXT = f"a -> {' a' * 65} b\nb -> a\n"  # a 66-th power within 10,000 letters
+# the K_emp return-word scan would need a window past RETURN_WINDOW_CAP
+ROADMAP6_TEXT = "a -> e e\nb -> c e\nc -> f e a\nd -> d c\ne -> b f\nf -> e e d\n"
 # N = 11, R = 627: the empirical bound counts p(i) up to 6899
 STREAM_TEXT = "f -> u u\np -> f u x\nu -> u x\nx -> x p\n"
 # 12-uniform on four letters: the certified R has 88 digits
@@ -211,9 +220,12 @@ class TestAnalyzeReport:
     def test_nonprimitive_report(self):
         from subrec.morphism import parse_morphism
 
-        report = analyze(parse_morphism("a -> a b\nb -> b"))
+        report = analyze(parse_morphism("a -> a b\nb -> b"), max_delay=5)
         assert report["primitive"]["is"] is False
         assert report["bounds"] == {}
+        # the delay search is not run, so no search bound is reported
+        assert report["delay"] == {"C": None, "L_from_C": None, "n_max": None, "failures": []}
+        assert "delay                search not run" in emit_report(report, as_json=False)
 
     def test_human_output_readable(self, fib):
         text = emit_report(analyze(fib), as_json=False)
@@ -339,6 +351,34 @@ class TestClosureCap:
         assert sorted(data["bounds"]) == ["closed_form", "maindetail_certified"]
         omitted = [w for w in data["warnings"] if w.startswith("bounds.maindetail omitted")]
         assert len(omitted) == 1 and "language closure at length 54210" in omitted[0]
+
+
+class TestInconclusiveRecurrenceRatio:
+    """The K_emp scan outgrows its window cap on roadmap6: analyze reports
+    K_emp as inconclusive and drops the bound that reads it, and bound
+    --mode empirical is refused by the cap."""
+
+    def test_analyze_keeps_other_bounds(self, morph_file):
+        path = morph_file("r6.morph", ROADMAP6_TEXT)
+        profile = cProfile.Profile()
+        code, out, _ = profile.runcall(invoke, ["analyze", path, "--json"])
+        assert code == 0
+        data = json.loads(out)
+        assert data["constants"]["K_emp"] == "inconclusive"
+        assert sorted(data["bounds"]) == ["closed_form", "maindetail_certified"]
+        cap = "return-word scan needs window > cap 1000000"
+        assert f"K_emp omitted: {cap}" in data["warnings"]
+        assert f"bounds.maindetail omitted: {cap}" in data["warnings"]
+        # the bound raises the stored refusal again instead of rescanning
+        counts = {entry.code: entry.callcount for entry in profile.getstats()}
+        assert counts.get(recurrence_constant_empirical.__wrapped__.__code__) == 1
+
+    def test_bound_empirical_exits_3(self, morph_file):
+        code, out, err = invoke(
+            ["bound", morph_file("r6.morph", ROADMAP6_TEXT), "--mode", "empirical"]
+        )
+        assert (code, out) == (3, "")
+        assert err == "subrec: cap exceeded: return-word scan needs window > cap 1000000\n"
 
 
 class TestInconclusivePowerIndex:

@@ -11,19 +11,17 @@ from subrec import (
     fixed_point_prefix,
     power_free_index,
     recurrence_constant_empirical,
-    return_words,
 )
 from subrec import certified_constants, language, zoo
 from subrec.errors import (
     CapExceeded,
-    NotAFactorError,
     NotAperiodicError,
     NotPrimitiveError,
-    WindowCapExceededError,
 )
 from subrec.language import (
     BLOCK_SCAN_PERIOD,
     FactorLanguage,
+    _longest_return,
     _max_power_exponent,
     _prefix_counts,
 )
@@ -39,6 +37,7 @@ from oracles import (
     max_power_exponent_reference,
     prefix,
     random_primitive_rules,
+    recurrence_ratio_reference,
     return_words_scan,
 )
 
@@ -162,48 +161,31 @@ class TestComplexity:
 
 
 class TestReturnWords:
+    """The longest return word the K_emp scan finds for one factor u."""
+
     def test_fib_a(self, fib):
-        result = return_words(fib, fib.encode("a"))
-        assert decoded(fib, result.returns) == ["a", "ab"]
-        assert result.completeness == "heuristic"
+        # return words to a are {a, ab}
+        assert _longest_return(fib, fib.encode("a")) == 2
 
     def test_fib_ab(self, fib):
-        result = return_words(fib, fib.encode("ab"))
-        assert decoded(fib, result.returns) == ["ab", "aba"]
+        # return words to ab are {ab, aba}
+        assert _longest_return(fib, fib.encode("ab")) == 3
 
     def test_tm_ab(self, tm):
         # gaps between "ab" occurrences in abbabaab... are 3,3,4,2
-        result = return_words(tm, tm.encode("ab"))
-        assert decoded(tm, result.returns) == ["ab", "aba", "abb", "abba"]
+        assert _longest_return(tm, tm.encode("ab")) == 4
 
     def test_against_scan_oracle(self):
         for m, rules in RULED:
             window = prefix(rules, 20_000)
             for u in ("a", "ab"):
-                got = decoded(m, return_words(m, m.encode(u)).returns)
-                assert got == sorted(return_words_scan(window[:10_000], u))
-
-    def test_defining_conditions(self, fib, tm):
-        for m in (fib, tm):
-            for u_text in ("a", "ab"):
-                u = m.encode(u_text)
-                for r in return_words(m, u).returns:
-                    ru = r + u
-                    assert ru in factor_language(m, len(ru))
-                    assert ru.startswith(u)
-                    count = sum(
-                        1 for i in range(len(ru) - len(u) + 1) if ru[i : i + len(u)] == u
-                    )
-                    assert count == 2
-
-    def test_not_a_factor(self, fib):
-        with pytest.raises(NotAFactorError):
-            return_words(fib, fib.encode("bb"))
+                want = max(map(len, return_words_scan(window[:10_000], u)))
+                assert _longest_return(m, m.encode(u)) == want
 
     def test_window_cap(self, fib, monkeypatch):
         monkeypatch.setattr(language, "RETURN_WINDOW_CAP", 32)
-        with pytest.raises(WindowCapExceededError):
-            return_words(fib, fib.encode("a"))
+        with pytest.raises(CapExceeded, match="return-word scan needs window > cap 32$"):
+            recurrence_constant_empirical(copy.copy(fib))
 
 
 class TestPowerFreeIndex:
@@ -305,25 +287,44 @@ class TestAperiodicity:
 
 
 class TestRecurrenceConstant:
-    # The estimate is memoized on the morphism, so a scan length other than
+    # The ratio is memoized on the morphism, so a scan length other than
     # RECURRENCE_MAX_LEN runs on a copy with an empty memo.
 
     def test_fib_length_one(self, fib):
         # return words to b are {ba, baa}: the ratio at length 1 is 3, and no
         # longer factor up to RECURRENCE_MAX_LEN beats it
-        estimate = recurrence_constant_empirical(fib)
-        assert estimate.ratio == Fraction(3)
-        assert fib.decode(estimate.witness) == "b"
+        assert recurrence_constant_empirical(fib) == Fraction(3)
 
     def test_tm_length_one(self, tm, monkeypatch):
         monkeypatch.setattr(language, "RECURRENCE_MAX_LEN", 1)
-        estimate = recurrence_constant_empirical(copy.copy(tm))
-        assert estimate.ratio == Fraction(3)
+        assert recurrence_constant_empirical(copy.copy(tm)) == Fraction(3)
 
     def test_fib_length_eight_band(self, fib, monkeypatch):
         monkeypatch.setattr(language, "RECURRENCE_MAX_LEN", 8)
-        estimate = recurrence_constant_empirical(copy.copy(fib))
-        assert Fraction(2) <= estimate.ratio < Fraction(6)
+        assert Fraction(2) <= recurrence_constant_empirical(copy.copy(fib)) < Fraction(6)
+
+    @pytest.mark.parametrize("seed, cap, some_refused", [(23, 1_000_000, False), (29, 256, True)])
+    def test_matches_rescanning_reference(self, seed, cap, some_refused, monkeypatch):
+        """The one-pass scan against a reference that rescans every window
+        from its start, on random primitive aperiodic morphisms: the same
+        ratio, or a refusal exactly where the reference needs a window
+        past the cap.  No draw reaches the default cap; about half reach
+        the low one."""
+        monkeypatch.setattr(language, "RETURN_WINDOW_CAP", cap)
+        refused = []
+        for rules in random_primitive_rules(random.Random(seed), 30, (2, 3), (1, 4)):
+            m = parsed(rules)
+            if aperiodicity_check(m) is not None:
+                continue
+            want = recurrence_ratio_reference(rules, cap=cap)
+            if want is None:
+                with pytest.raises(CapExceeded, match=f"needs window > cap {cap}$"):
+                    recurrence_constant_empirical(m)
+            else:
+                assert recurrence_constant_empirical(m) == want, rules
+            refused.append(want is None)
+        assert len(refused) >= 20 and refused.count(False) >= 10
+        assert any(refused) == some_refused
 
     def test_power_free_consistency(self):
         # the scanned window shows no power beyond the certified ceiling
