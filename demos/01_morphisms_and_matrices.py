@@ -14,7 +14,7 @@ from subrec import (
     parse_morphism,
     wielandt_bound,
 )
-from subrec.errors import SizeExceededError
+from subrec.errors import CapExceeded
 
 fib = parse_morphism("a -> a b\nb -> a")
 print("rules:")
@@ -37,7 +37,7 @@ for n in (1, 4, 16, 64, 256):
 print("\nbuild_window() refuses blowups, predicting the length first:")
 try:
     build_window(fib, admissible_seeds(fib)[0], 10**9, max_letters=10**6)
-except SizeExceededError as exc:
+except CapExceeded as exc:
     print("  ", exc)
 
 print("\nprimitivity with smallest positivity witness:")

@@ -20,8 +20,8 @@ import sys
 from decimal import Decimal
 from pathlib import Path
 
-from .bignum import big_str, digits10
-from .errors import BadParametersError, CapExceeded, InputError, NotAperiodicError
+from .bignum import big_str
+from .errors import CapExceeded, InputError, NotAperiodicError
 from .fixedpoint import build_window
 from .language import (
     DEFAULT_APERIODICITY_N,
@@ -106,7 +106,7 @@ def _breakdown_json(b: BoundBreakdown) -> dict:
         "warnings": list(b.warnings),
     }
     if b.bound.exact is not None:
-        out["digits"] = digits10(b.bound.exact)
+        out["digits"] = b.bound.digits
     return out
 
 
@@ -127,7 +127,8 @@ def _delay_json(m: Morphism, result: SyncResult, n_max: int) -> dict:
 
 
 def emit_report(report: dict, as_json: bool) -> str:
-    """The report of :func:`analyze` as JSON, or as text for humans."""
+    """The report of :func:`analyze` as text for humans, or any payload
+    as deterministic JSON: the one JSON writer of every subcommand."""
     if as_json:
         return json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
     return _human_report(report)
@@ -197,9 +198,9 @@ def analyze(
 ) -> dict:
     """The full report, already JSON-shaped: emit_report renders it."""
     if radius < 1:
-        raise BadParametersError("radius must be >= 1")
+        raise InputError("radius must be >= 1")
     if max_delay < 1:
-        raise BadParametersError("max_delay must be >= 1")
+        raise InputError("max_delay must be >= 1")
     warnings: list[str] = []
     witness = primitivity(m)
     report = {
@@ -318,10 +319,6 @@ def _load(path: str) -> Morphism:
     return parse_morphism(text)
 
 
-def _emit_json(payload, out):
-    print(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False), file=out)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="subrec",
@@ -383,7 +380,7 @@ def _cmd_bound(args, out) -> int:
     mode = "empirical_exact" if args.mode == "empirical" else "certified"
     b = recognizability_bound(m, mode, safe_d=args.safe_d)
     if args.json:
-        _emit_json({"maindetail": _breakdown_json(b)}, out)
+        print(emit_report({"maindetail": _breakdown_json(b)}, as_json=True), file=out)
     else:
         print(
             f"mode={b.mode} N={_fmt_big_human(b.N)} k={_fmt_big_human(b.k)} d={b.d} "
@@ -404,7 +401,7 @@ def _cmd_delay(args, out) -> int:
     result = synchronizing_delay(m, args.max)
     if args.json:
         payload = _delay_json(m, result, args.max) | {"screened_periodic": result.screened_periodic}
-        _emit_json(payload, out)
+        print(emit_report(payload, as_json=True), file=out)
     elif result.delay is not None:
         print(f"C={result.delay} L_from_C={result.delay // 2}", file=out)
     else:
@@ -432,7 +429,7 @@ def _cmd_verify(args, out) -> int:
                 "position": ce.position,
                 "kind": ce.kind,
             }
-        _emit_json(payload, out)
+        print(emit_report(payload, as_json=True), file=out)
     elif result.ok:
         print(f"ok: no counterexample for L={args.L} at level {args.level} (window-relative)", file=out)
     else:
@@ -449,7 +446,7 @@ def _cmd_language(args, out) -> int:
     m = _load(args.file)
     words = sorted(m.decode(w) for w in factor_language(m, args.n))
     if args.json:
-        _emit_json({"n": args.n, "count": len(words), "words": words}, out)
+        print(emit_report({"n": args.n, "count": len(words), "words": words}, as_json=True), file=out)
     else:
         print(f"p({args.n}) = {len(words)}", file=out)
         print(" ".join(words), file=out)
@@ -460,7 +457,7 @@ def _cmd_seeds(args, out) -> int:
     m = _load(args.file)
     payload = _seeds_json(m, admissible_seeds(m, args.max_power))
     if args.json:
-        _emit_json(payload, out)
+        print(emit_report(payload, as_json=True), file=out)
     elif payload["pairs"]:
         pairs = ", ".join(f"{a}.{b}" for a, b in payload["pairs"])
         print(f"power {payload['power']}: {pairs}", file=out)

@@ -15,12 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    BadParametersError,
-    InvalidSeedError,
-    LevelUnavailableError,
-    SizeExceededError,
-)
+from .errors import CapExceeded, InputError
+from .language import language_of
 from .morphism import FixedPointSeed, Morphism, Word, end_letters, image_lengths
 
 
@@ -56,9 +52,7 @@ class Window:
 
     def preimage_pair(self, p: int) -> tuple[Word, Word]:
         if not 0 <= p <= self.max_level:
-            raise LevelUnavailableError(
-                f"level {p} unavailable (tower holds 0..{self.max_level})"
-            )
+            raise InputError(f"level {p} unavailable (tower holds 0..{self.max_level})")
         return self.tower[p]
 
 
@@ -76,27 +70,21 @@ class CuttingSet:
 
 def _validate_seed(m: Morphism, seed: FixedPointSeed):
     if seed.power < 1:
-        raise InvalidSeedError("seed power must be >= 1")
+        raise InputError("seed power must be >= 1")
     for letter in (seed.left, seed.right):
         if len(letter) != 1 or ord(letter) >= m.size:
-            raise InvalidSeedError("seed letter out of range")
+            raise InputError("seed letter out of range")
     first, last = end_letters(m, seed.power)
     a, b = ord(seed.left), ord(seed.right)
     if last[a] != a:
-        raise InvalidSeedError(
-            f"sigma^{seed.power}({m.letters[a]}) does not end with it"
-        )
+        raise InputError(f"sigma^{seed.power}({m.letters[a]}) does not end with it")
     if first[b] != b:
-        raise InvalidSeedError(
-            f"sigma^{seed.power}({m.letters[b]}) does not start with it"
-        )
+        raise InputError(f"sigma^{seed.power}({m.letters[b]}) does not start with it")
     if m.widest == 1:
-        raise InvalidSeedError("images of length 1 only: no growing fixed point")
-
-    from .language import language_of
+        raise InputError("images of length 1 only: no growing fixed point")
 
     if seed.left + seed.right not in language_of(m).slice(2):
-        raise InvalidSeedError("seed pair is not admissible (not a factor)")
+        raise InputError("seed pair is not admissible (not a factor)")
 
 
 def build_window(
@@ -111,10 +99,10 @@ def build_window(
 
     The result has lo <= -radius and hi >= radius, and its tower reaches
     at least min_level sigma-steps.  Growth is predicted per step and
-    refused with SizeExceededError once it would pass max_letters.
+    refused with CapExceeded once it would pass max_letters.
     """
     if radius < 1:
-        raise BadParametersError("radius must be >= 1")
+        raise InputError("radius must be >= 1")
     _validate_seed(m, seed)
     e = seed.power
     lengths = image_lengths(m, 1)
@@ -127,7 +115,7 @@ def build_window(
                 lengths[ord(c)] for c in right
             )
             if max_letters is not None and predicted > max_letters:
-                raise SizeExceededError(predicted, max_letters)
+                raise CapExceeded(f"word of length {predicted} exceeds cap {max_letters}")
             left = m.apply(left)
             right = m.apply(right)
             pairs.append((left, right))

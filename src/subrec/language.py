@@ -27,12 +27,7 @@ from fractions import Fraction
 from itertools import accumulate, pairwise
 from typing import Iterable, Iterator
 
-from .errors import (
-    BadParametersError,
-    CapExceeded,
-    NotAperiodicError,
-    NotPrimitiveError,
-)
+from .errors import CapExceeded, InputError, NotAperiodicError
 from .morphism import Morphism, Word, end_letters, per_morphism, require_primitive
 
 DEFAULT_SCAN_LEN = 10_000
@@ -176,7 +171,7 @@ class FactorLanguage:
         """L_n: a prefix set of the longest stored slice, or closed anew
         past it."""
         if n < 0:
-            raise BadParametersError("factor length must be >= 0")
+            raise InputError("factor length must be >= 0")
         if n == 0:
             return frozenset({""})
         cached = self._slices.get(n)
@@ -190,7 +185,7 @@ class FactorLanguage:
     def complexity(self, n: int) -> int:
         """p(n), read from the counts (see ensure)."""
         if n < 0:
-            raise BadParametersError("factor length must be >= 0")
+            raise InputError("factor length must be >= 0")
         if n >= len(self._counts):
             self.ensure(n)
         return self._counts[n]
@@ -230,7 +225,7 @@ def language_of(m: Morphism) -> FactorLanguage:
 def factor_language(m: Morphism, n: int) -> frozenset[Word]:
     """The exact set of length-n factors of the substitution language."""
     if n < 1:
-        raise BadParametersError("n must be >= 1")
+        raise InputError("n must be >= 1")
     return language_of(m).slice(n)
 
 
@@ -248,7 +243,7 @@ def right_prolongable_letter(m: Morphism) -> tuple[str, int]:
         for i in range(m.size):
             if first_e[i] == i:
                 return chr(i), e
-    raise NotPrimitiveError("no right-prolongable letter found")  # unreachable for #A >= 1
+    raise InputError("no right-prolongable letter found")  # unreachable for #A >= 1
 
 
 def fixed_point_prefix(m: Morphism, length: int) -> Word:

@@ -21,17 +21,7 @@ import re
 import unicodedata
 from dataclasses import dataclass
 
-from .errors import (
-    BadParametersError,
-    DegenerateWidthError,
-    DuplicateRuleError,
-    EmptyImageError,
-    InputError,
-    MorphismSyntaxError,
-    NotPrimitiveError,
-    SubrecError,
-    UnknownLetterError,
-)
+from .errors import InputError, MorphismSyntaxError, SubrecError
 
 Word = str  # characters are chr(letter index)
 
@@ -109,7 +99,11 @@ class Morphism:
         return "".join(parts)
 
     def encode(self, text: str) -> Word:
-        """Convert display tokens (contiguous or whitespace-separated) to a word."""
+        """Convert display tokens (contiguous or whitespace-separated) to a word.
+
+        Contiguous text is split as :func:`_is_token` reads a token: a
+        bracketed identifier, or one character with the combining marks
+        that follow it."""
         by_display = {display: i for i, display in enumerate(self.letters)}
         tokens: list[str] = []
         if any(ch.isspace() for ch in text):
@@ -124,18 +118,21 @@ class Morphism:
                     tokens.append(text[pos : end + 1])
                     pos = end + 1
                 else:
-                    tokens.append(text[pos])
-                    pos += 1
+                    end = pos + 1
+                    while end < len(text) and unicodedata.combining(text[end]):
+                        end += 1
+                    tokens.append(text[pos:end])
+                    pos = end
         try:
             return "".join(chr(by_display[token]) for token in tokens)
         except KeyError as exc:
             raise InputError(f"unknown letter {exc.args[0]!r}") from None
 
-    def decode(self, word: Word, sep: str | None = None) -> str:
-        """Render an index-encoded word with display tokens."""
+    def decode(self, word: Word) -> str:
+        """Render an index-encoded word with display tokens, separated by
+        spaces when one of them is longer than a character."""
         displays = [self.letters[ord(ch)] for ch in word]
-        if sep is None:
-            sep = " " if any(len(d) > 1 for d in displays) else ""
+        sep = " " if any(len(d) > 1 for d in displays) else ""
         return sep.join(displays)
 
     def rules_text(self) -> str:
@@ -173,7 +170,7 @@ class IncidenceMatrix:
     def power(self, n: int) -> "IncidenceMatrix":
         """Exact n-th power by square-and-multiply."""
         if n < 0:
-            raise BadParametersError("negative matrix power")
+            raise InputError("negative matrix power")
         dim = self.dim
         result = identity_matrix(dim)
         base = self
@@ -218,8 +215,8 @@ def parse_morphism(text: str) -> Morphism:
     """Parse the line-oriented rule grammar ``LHS -> RHS``.
 
     Comment lines start with ``#``; blank lines are skipped; rule order
-    defines letter indices.  Raises the specific parse error subclasses
-    with 1-based line/column positions.
+    defines letter indices.  Refuses with :class:`MorphismSyntaxError`,
+    which carries the 1-based line and column.
     """
     order: list[str] = []
     raw_rules: dict[str, list[str]] = {}
@@ -238,10 +235,10 @@ def parse_morphism(text: str) -> Morphism:
         if not _is_token(lhs):
             raise MorphismSyntaxError(f"bad token {lhs!r}", line_no, lhs_col)
         if lhs in raw_rules:
-            raise DuplicateRuleError(f"duplicate rule for {lhs!r}", line_no, lhs_col)
+            raise MorphismSyntaxError(f"duplicate rule for {lhs!r}", line_no, lhs_col)
         rhs = spans[2:]
         if not rhs:
-            raise EmptyImageError(f"rule for {lhs!r} has an empty image", line_no, len(line) + 1)
+            raise MorphismSyntaxError(f"rule for {lhs!r} has an empty image", line_no, len(line) + 1)
         for token, col in rhs:
             if not _is_token(token):
                 raise MorphismSyntaxError(f"bad token {token!r}", line_no, col)
@@ -255,7 +252,7 @@ def parse_morphism(text: str) -> Morphism:
     index = {token: i for i, token in enumerate(order)}
     for token, line_no, col in image_tokens:
         if token not in index:
-            raise UnknownLetterError(f"no rule for letter {token!r}", line_no, col)
+            raise MorphismSyntaxError(f"no rule for letter {token!r}", line_no, col)
 
     images = tuple("".join(chr(index[t]) for t in raw_rules[tok]) for tok in order)
     return Morphism(tuple(order), images)
@@ -311,7 +308,7 @@ def extreme_lengths(m: Morphism, n: int) -> tuple[int, int]:
 def power(m: Morphism, n: int) -> Morphism:
     """The morphism sigma^n over the same alphabet (n >= 1)."""
     if n < 1:
-        raise BadParametersError("power must be >= 1")
+        raise InputError("power must be >= 1")
     images = m.images
     for _ in range(n - 1):
         images = tuple(m.apply(w) for w in images)
@@ -353,7 +350,7 @@ def primitivity(m: Morphism) -> int | None:
 def require_primitive(m: Morphism):
     """The guard of every computation that needs a primitive morphism."""
     if primitivity(m) is None:
-        raise NotPrimitiveError("the morphism is not primitive")
+        raise InputError("the morphism is not primitive")
 
 
 def end_letters(m: Morphism, e: int) -> tuple[list[int], list[int]]:
@@ -383,13 +380,13 @@ def admissible_seeds(m: Morphism, max_power: int | None = None) -> list[FixedPoi
     if max_power is None:
         max_power = default_seed_power_cap(m)
     if max_power < 1:
-        raise BadParametersError("max_power must be >= 1")
+        raise InputError("max_power must be >= 1")
     if m.widest == 1:
         return []  # single-letter identity: no growing fixed point
 
     from .language import factor_language  # deferred: language builds on this module
 
-    pairs = factor_language(m, 2) if m.size > 1 else {chr(0) * 2}
+    pairs = factor_language(m, 2)
     for e in range(1, max_power + 1):
         first_e, last_e = end_letters(m, e)
         lefts = [i for i in range(m.size) if last_e[i] == i]
@@ -413,9 +410,9 @@ def power_scaled_constant(L: int, k: int, widest: int) -> int:
     periodic; that degenerate case is rejected.
     """
     if k < 1:
-        raise BadParametersError("k must be >= 1")
+        raise InputError("k must be >= 1")
     if widest < 1:
-        raise BadParametersError("widest must be >= 1")
+        raise InputError("widest must be >= 1")
     if widest == 1:
-        raise DegenerateWidthError("widest image length is 1 (periodic fixed point)")
+        raise InputError("widest image length is 1 (periodic fixed point)")
     return L * (widest**k - 1) // (widest - 1)

@@ -18,12 +18,7 @@ from itertools import accumulate
 from typing import Iterator, Literal
 
 from .bignum import digits10, int_log10, log10_line
-from .errors import (
-    BadParametersError,
-    CapExceeded,
-    NotAFactorError,
-    WindowTooSmallError,
-)
+from .errors import CapExceeded, InputError
 from .fixedpoint import Window, cutting_points
 from .language import (
     DEFAULT_APERIODICITY_N,
@@ -157,9 +152,9 @@ def interpretations(m: Morphism, u: Word) -> tuple[Interpretation, ...]:
     gives |sigma(v[:-1])| < o + |u| <= |sigma(v[0])| + |u| - 1, so |v| <= t.
     """
     if not u:
-        raise BadParametersError("u must be non-empty")
+        raise InputError("u must be non-empty")
     if u not in language_of(m):
-        raise NotAFactorError(f"{m.decode(u)!r} is not a factor")
+        raise InputError(f"{m.decode(u)!r} is not a factor")
     found: dict[tuple[Word, int], Interpretation] = {}
     for w, image, bounds in _first_images(m, len(u)):
         o = image.find(u)
@@ -172,9 +167,9 @@ def interpretations(m: Morphism, u: Word) -> tuple[Interpretation, ...]:
     return tuple(found[key] for key in sorted(found))
 
 
-def _sync_cuts(m: Morphism, n: int, interior_only: bool) -> dict[Word, set[int]]:
-    """Each length-n factor with the positions k in 1..n (1..n-1 when
-    interior_only) where every interpretation places an image boundary.
+def _sync_cuts(m: Morphism, n: int) -> dict[Word, set[int]]:
+    """Each length-n factor with the positions k in 1..n where every
+    interpretation places an image boundary.
 
     One first-image pass: every window at an offset o < |sigma(w[0])| of
     sigma(w) is one interpretation of its factor (see :func:`interpretations`),
@@ -183,28 +178,26 @@ def _sync_cuts(m: Morphism, n: int, interior_only: bool) -> dict[Word, set[int]]
     common: dict[Word, set[int]] = {}
     for _, image, bounds in _first_images(m, n):
         for o in range(bounds[1]):
-            cuts = {b - o for b in bounds[1 : bisect_right(bounds, o + n - interior_only)]}
+            cuts = {b - o for b in bounds[1 : bisect_right(bounds, o + n)]}
             common.setdefault(image[o : o + n], cuts).intersection_update(cuts)
     return common
 
 
-def synchronizing_point(m: Morphism, u: Word, interior_only: bool = False) -> tuple[int, ...]:
+def synchronizing_point(m: Morphism, u: Word) -> tuple[int, ...]:
     """Positions k where every interpretation of u places an image boundary,
     in ascending order; empty when u is not synchronized.
 
     k ranges over 1..|u|; the boundary k = |u| (suffix aligned with a full
-    image) is allowed unless interior_only restricts to 1..|u|-1.
+    image) is allowed.
     """
     if not u:
-        raise BadParametersError("u must be non-empty")
+        raise InputError("u must be non-empty")
     if u not in language_of(m):
-        raise NotAFactorError(f"{m.decode(u)!r} is not a factor")
-    return tuple(sorted(_sync_cuts(m, len(u), interior_only)[u]))
+        raise InputError(f"{m.decode(u)!r} is not a factor")
+    return tuple(sorted(_sync_cuts(m, len(u))[u]))
 
 
-def synchronizing_delay(
-    m: Morphism, n_max: int, interior_only: bool = False
-) -> SyncResult:
+def synchronizing_delay(m: Morphism, n_max: int) -> SyncResult:
     """Smallest length C <= n_max at which every factor is synchronized.
 
     A word containing a synchronized factor is itself synchronized (its
@@ -214,12 +207,12 @@ def synchronizing_delay(
     reported as delay None.
     """
     if n_max < 1:
-        raise BadParametersError("n_max must be >= 1")
+        raise InputError("n_max must be >= 1")
     if aperiodicity_check(m) is not None:
         return SyncResult(None, (), screened_periodic=True)
     per_length: list[tuple[int, tuple[Word, ...]]] = []
     for n in range(1, n_max + 1):
-        bad = tuple(sorted(u for u, cuts in _sync_cuts(m, n, interior_only).items() if not cuts))
+        bad = tuple(sorted(u for u, cuts in _sync_cuts(m, n).items() if not cuts))
         per_length.append((n, bad))
         if not bad:
             return SyncResult(n, tuple(per_length))
@@ -276,12 +269,10 @@ def verify_constant(window: Window, L: int, p: int) -> VerifyResult:
     before a cut, then the position m.
     """
     if L < 0:
-        raise BadParametersError("L must be >= 0")
+        raise InputError("L must be >= 0")
     cuts = cutting_points(window, p)
     if L > _largest_constant(window, p):
-        raise WindowTooSmallError(
-            f"window [{window.lo},{window.hi}) too small for L={L} at level {p}"
-        )
+        raise InputError(f"window [{window.lo},{window.hi}) too small for L={L} at level {p}")
     junction_ordinal = len(window.tower[p][0])
     cut_info: dict[int, tuple[int, str]] = {}
     for ordinal, (pos, letter) in enumerate(zip(cuts.positions, cuts.preimages)):
@@ -330,7 +321,7 @@ def minimal_constant_empirical(window: Window, p: int, L_max: int) -> EmpiricalC
     Window-relative "ok" is monotone in L (a longer context only refines
     the partition), so the first passing L is the heuristic minimum."""
     if L_max < 0:
-        raise BadParametersError("L_max must be >= 0")
+        raise InputError("L_max must be >= 0")
     L_max = max(0, min(L_max, _largest_constant(window, p)))
     for L in range(L_max + 1):
         if verify_constant(window, L, p).ok:
@@ -365,8 +356,8 @@ class BigValue:
     exact: int | None = None
 
     @classmethod
-    def from_int(cls, x: int, expr: str | None = None) -> "BigValue":
-        return cls(expr if expr is not None else "exact", int_log10(x) if x > 0 else 0.0, x)
+    def from_int(cls, x: int, expr: str) -> "BigValue":
+        return cls(expr, int_log10(x) if x > 0 else 0.0, x)
 
     @property
     def digits(self) -> int | None:
@@ -470,7 +461,7 @@ def recognizability_bound(
         n_value = certs.N_cert
         k_ratio = certs.K_cert
     else:
-        raise BadParametersError(f"unknown mode {mode!r}")
+        raise InputError(f"unknown mode {mode!r}")
 
     r_value = n_value * n_value * (k + 1) + 2 * n_value
     i_lo = -((-r_value) // n_value)
@@ -557,7 +548,7 @@ def klouda_medkova_bound(k: int) -> int:
     8 when k = 2; k^2 + 3k - 4 when k is an odd prime;
     k^2 (k/d - 1) + 5k - 4 otherwise, d the least divisor of k above 1."""
     if k < 2:
-        raise BadParametersError("k must be >= 2")
+        raise InputError("k must be >= 2")
     d = _least_divisor(k)
     if k == 2:
         return 8

@@ -18,7 +18,7 @@ from subrec import (
     recurrence_constant_empirical,
     zoo,
 )
-from subrec.errors import BadParametersError
+from subrec.errors import InputError
 
 FIB_TEXT = "a -> a b\nb -> a\n"
 TM_TEXT = "a -> a b\nb -> b a\n"
@@ -289,7 +289,7 @@ class TestSmallRadius:
 
     @pytest.mark.parametrize("radius", [0, -1])
     def test_radius_below_one_refused(self, radius, morph_file):
-        with pytest.raises(BadParametersError, match="radius must be >= 1"):
+        with pytest.raises(InputError, match="radius must be >= 1"):
             analyze(zoo.FIBONACCI, radius=radius)
         code, out, err = invoke(
             ["analyze", morph_file("fib.morph", FIB_TEXT), "--json", "--radius", str(radius)]
@@ -304,7 +304,7 @@ class TestMaxDelayRefused:
 
     @pytest.mark.parametrize("text", [FIB_TEXT, NONPRIM_TEXT])
     def test_zero_refused(self, text, morph_file):
-        with pytest.raises(BadParametersError, match="max_delay must be >= 1"):
+        with pytest.raises(InputError, match="max_delay must be >= 1"):
             analyze(parse_morphism(text), max_delay=0)
         code, out, err = invoke(
             ["analyze", morph_file("m.morph", text), "--json", "--max-delay", "0"]

@@ -5,14 +5,11 @@ from subrec import (
     build_window,
     cutting_points,
     extreme_lengths,
+    parse_morphism,
     power,
 )
 from subrec import zoo
-from subrec.errors import (
-    InvalidSeedError,
-    LevelUnavailableError,
-    SizeExceededError,
-)
+from subrec.errors import CapExceeded, InputError
 from subrec.morphism import FixedPointSeed
 
 from oracles import COLL_RULES, FIB_RULES, TM_RULES, TRIB_RULES, OracleWindow
@@ -60,12 +57,13 @@ class TestBuildWindow:
             assert segment(w, -1, 1) == seed.left + seed.right
 
     def test_invalid_seed(self, fib):
-        with pytest.raises(InvalidSeedError):
+        with pytest.raises(InputError, match=r"sigma\^2\(b\) does not start with it"):
             build_window(fib, FixedPointSeed(2, fib.encode("a"), fib.encode("b")), 8)
 
-    def test_inadmissible_pair_rejected(self, per):
-        # "ba" is a factor of (ab)^inf but "aa" is not
-        with pytest.raises(InvalidSeedError):
+    def test_inadmissible_pair_rejected(self):
+        # sigma(a) starts and ends with a, but "aa" is not a factor of (ab)^inf
+        per = parse_morphism("a -> a b a\nb -> b a b")
+        with pytest.raises(InputError, match="seed pair is not admissible"):
             build_window(per, FixedPointSeed(1, per.encode("a"), per.encode("a")), 8)
 
     def test_growth_keeps_positions(self, fib):
@@ -87,7 +85,7 @@ class TestBuildWindow:
 
     def test_size_cap(self, fib):
         seed = admissible_seeds(fib)[0]
-        with pytest.raises(SizeExceededError):
+        with pytest.raises(CapExceeded, match="exceeds cap 500$"):
             build_window(fib, seed, 10_000, max_letters=500)
 
     def test_min_level(self, fib):
@@ -115,7 +113,7 @@ class TestCutPosition:
 
     def test_level_unavailable(self, fib):
         w = build_window(fib, admissible_seeds(fib)[0], 10)
-        with pytest.raises(LevelUnavailableError):
+        with pytest.raises(InputError, match=rf"level {w.max_level + 1} unavailable"):
             cutting_points(w, w.max_level + 1)
 
 

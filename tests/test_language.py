@@ -13,11 +13,7 @@ from subrec import (
     recurrence_constant_empirical,
 )
 from subrec import certified_constants, language, zoo
-from subrec.errors import (
-    CapExceeded,
-    NotAperiodicError,
-    NotPrimitiveError,
-)
+from subrec.errors import CapExceeded, InputError, NotAperiodicError
 from subrec.language import (
     BLOCK_SCAN_PERIOD,
     FactorLanguage,
@@ -67,7 +63,7 @@ class TestFactorLanguage:
 
     def test_requires_primitive(self):
         m = parse_morphism("a -> a b\nb -> b")
-        with pytest.raises(NotPrimitiveError):
+        with pytest.raises(InputError, match="the morphism is not primitive"):
             factor_language(m, 2)
 
     @pytest.mark.parametrize("n", range(1, 13))
@@ -337,7 +333,7 @@ class TestRecurrenceConstant:
 class TestFixedPointPrefix:
     def test_requires_primitive(self):
         # the ray of a never grows: without the guard this would not return
-        with pytest.raises(NotPrimitiveError):
+        with pytest.raises(InputError, match="the morphism is not primitive"):
             fixed_point_prefix(parse_morphism("a -> a\nb -> a b"), 10)
 
     def test_is_prefix_closed(self, fib):

@@ -7,6 +7,7 @@ from subrec import (
     admissible_seeds,
     build_window,
     extreme_lengths,
+    factor_language,
     image_lengths,
     incidence_matrix,
     is_primitive,
@@ -16,15 +17,7 @@ from subrec import (
     wielandt_bound,
 )
 from subrec import zoo
-from subrec.errors import (
-    DegenerateWidthError,
-    DuplicateRuleError,
-    EmptyImageError,
-    MorphismSyntaxError,
-    NotPrimitiveError,
-    SizeExceededError,
-    UnknownLetterError,
-)
+from subrec.errors import CapExceeded, InputError, MorphismSyntaxError
 from subrec.morphism import IncidenceMatrix
 
 from oracles import FIB_RULES, TM_RULES, TRIB_RULES, expand, first_positive_power
@@ -53,17 +46,17 @@ class TestParsing:
         assert m.letters == ("z", "a")
 
     def test_empty_image(self):
-        with pytest.raises(EmptyImageError):
+        with pytest.raises(MorphismSyntaxError, match="rule for 'a' has an empty image"):
             parse_morphism("a -> \n")
 
     def test_unknown_letter(self):
-        with pytest.raises(UnknownLetterError) as exc:
+        with pytest.raises(MorphismSyntaxError, match="no rule for letter 'c'") as exc:
             parse_morphism("a -> a c")
         assert exc.value.line == 1
         assert exc.value.column == 8
 
     def test_duplicate_rule(self):
-        with pytest.raises(DuplicateRuleError):
+        with pytest.raises(MorphismSyntaxError, match="duplicate rule for 'a'"):
             parse_morphism("a -> a\na -> a a")
 
     def test_missing_arrow(self):
@@ -78,6 +71,13 @@ class TestParsing:
     def test_combining_mark_is_one_token(self):
         m = parse_morphism("é -> é")
         assert m.size == 1
+
+    def test_combining_mark_encodes_contiguously(self):
+        acute = "e\u0301"  # e, then a combining acute accent: one token
+        m = parse_morphism(f"{acute} -> {acute} b\nb -> {acute} [c]\n[c] -> b")
+        for n in range(1, 7):
+            for w in factor_language(m, n):
+                assert m.encode("".join(m.letters[ord(c)] for c in w)) == w
 
 
 class TestApply:
@@ -118,9 +118,8 @@ class TestIterate:
         # step to sigma^27(a) on each side, 2 F(29) letters, is the first
         # past the cap and is refused with its length read off the matrix
         seed = admissible_seeds(fib)[0]
-        with pytest.raises(SizeExceededError) as exc:
+        with pytest.raises(CapExceeded, match=f"^word of length {2 * 514229} exceeds cap {10**6}$"):
             build_window(fib, seed, 10**9, max_letters=10**6)
-        assert exc.value.needed == 2 * 514229
 
     @pytest.mark.parametrize("n", range(0, 11))
     def test_matrix_word_agreement(self, n):
@@ -205,12 +204,15 @@ class TestSeeds:
 
     def test_requires_primitive(self):
         m = parse_morphism("a -> a b\nb -> b")
-        with pytest.raises(NotPrimitiveError):
+        with pytest.raises(InputError, match="the morphism is not primitive"):
             admissible_seeds(m)
 
-    def test_seed_validity_invariant(self):
-        from subrec import factor_language
+    def test_single_letter(self):
+        # the one-letter language closes to {aa}, so aa is admissible
+        m = parse_morphism("a -> a a")
+        assert [(s.power, m.decode(s.left + s.right)) for s in admissible_seeds(m)] == [(1, "aa")]
 
+    def test_seed_validity_invariant(self):
         for m in ZOO:
             for seed in admissible_seeds(m):
                 images = power(m, seed.power).images
@@ -226,5 +228,5 @@ class TestPowerScaledConstant:
         assert power_scaled_constant(2, 2, 3) == 8
 
     def test_degenerate_width(self):
-        with pytest.raises(DegenerateWidthError):
+        with pytest.raises(InputError, match=r"widest image length is 1 \(periodic fixed point\)"):
             power_scaled_constant(3, 2, 1)

@@ -25,13 +25,7 @@ from subrec import (
 )
 from subrec import power_free_index, recognizability, recurrence_constant_empirical, zoo
 from subrec.cli import _delay_json
-from subrec.errors import (
-    BadParametersError,
-    CapExceeded,
-    NotAFactorError,
-    NotAperiodicError,
-    WindowTooSmallError,
-)
+from subrec.errors import CapExceeded, InputError, NotAperiodicError
 from subrec.morphism import parse_morphism
 from subrec.recognizability import _kernel_partition
 
@@ -121,7 +115,7 @@ class TestInterpretations:
         assert ("", "a", "") in triples
 
     def test_not_a_factor(self, fib):
-        with pytest.raises(NotAFactorError):
+        with pytest.raises(InputError, match="'bb' is not a factor"):
             interpretations(fib, fib.encode("bb"))
 
     def test_brute_force_agreement(self):
@@ -185,18 +179,16 @@ class TestFirstImagePass:
                     for i in interpretations(m, m.encode(u))
                 ]
                 assert got == interps, u
-                for interior_only in (False, True):
-                    points = synchronizing_point(m, m.encode(u), interior_only)
-                    assert points == sync_points_reference(interps, n, interior_only)
-        for interior_only in (False, True):
-            result = synchronizing_delay(m, 16, interior_only)
-            delay, per_length, periodic = delay_reference(rules, 16, interior_only, factors)
-            assert result.screened_periodic == periodic
-            assert result.delay == delay
-            reported = _delay_json(m, result, 16)
-            assert reported["L_from_C"] == (None if delay is None else delay // 2)
-            assert reported["n_max"] == 16
-            assert [(n, [m.decode(u) for u in bad]) for n, bad in result.per_length] == per_length
+                points = synchronizing_point(m, m.encode(u))
+                assert points == sync_points_reference(interps, n, False)
+        result = synchronizing_delay(m, 16)
+        delay, per_length, periodic = delay_reference(rules, 16, False, factors)
+        assert result.screened_periodic == periodic
+        assert result.delay == delay
+        reported = _delay_json(m, result, 16)
+        assert reported["L_from_C"] == (None if delay is None else delay // 2)
+        assert reported["n_max"] == 16
+        assert [(n, [m.decode(u) for u in bad]) for n, bad in result.per_length] == per_length
 
     def test_long_first_image(self):
         m = parse_morphism(f"a -> {' '.join('a' * 65)} b\nb -> a")
@@ -215,12 +207,6 @@ class TestSynchronizingPoint:
 
     def test_tm_abba(self, tm):
         assert synchronizing_point(tm, tm.encode("abba")) == (2, 4)
-
-    def test_interior_only_flag(self, fib):
-        full = synchronizing_point(fib, fib.encode("ab"))
-        interior = synchronizing_point(fib, fib.encode("ab"), interior_only=True)
-        assert full == (2,)
-        assert interior == ()
 
 
 class TestSynchronizingDelay:
@@ -281,7 +267,7 @@ class TestVerifyConstant:
 
     def test_window_too_small(self, fib):
         w = build_window(fib, admissible_seeds(fib)[0], 8)
-        with pytest.raises(WindowTooSmallError):
+        with pytest.raises(InputError, match=r"too small for L=6 at level 1"):
             verify_constant(w, 6, 1)
 
     def test_tie_break_smallest_position(self, per):
@@ -457,7 +443,7 @@ class TestKloudaMedkova:
         assert klouda_medkova_bound(4) == 32
 
     def test_bad_parameters(self):
-        with pytest.raises(BadParametersError):
+        with pytest.raises(InputError, match="k must be >= 2"):
             klouda_medkova_bound(1)
         with pytest.raises(TypeError):  # the least divisor is derived from k
             klouda_medkova_bound(4, 2)
