@@ -16,13 +16,14 @@ w = build_window(fib, seeds[0], 24)
 print(f"window [{w.lo}, {w.hi}), tower depth {w.max_level}")
 print("content around the origin:", fib.decode(w.content[-w.lo - 8 : -w.lo + 8]), "(junction between -1 and 0)")
 
+# cutting_points maps each cut position to (image index from the junction,
+# preimage letter)
 for p in (1, 2, 3):
-    cs = cutting_points(w, p)
-    visible = [(pos, fib.decode(c)) for pos, c in zip(cs.positions, cs.preimages) if 0 <= pos < 16]
+    cuts = cutting_points(w, p)
+    visible = [(pos, fib.decode(c)) for pos, (_, c) in cuts.items() if 0 <= pos < 16]
     print(f"level {p} cuts in [0,16): {visible}")
 
 print("\nthe level map: position of the i-th level-1 boundary")
-cs = cutting_points(w, 1)
-junction = cs.positions.index(0)
+f = {i: pos for pos, (i, _) in cutting_points(w, 1).items()}
 print("  i:", list(range(-4, 5)))
-print("  f:", list(cs.positions[junction - 4 : junction + 5]))
+print("  f:", [f[i] for i in range(-4, 5)])

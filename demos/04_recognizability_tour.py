@@ -46,7 +46,8 @@ for L in (0, 1):
     else:
         ce = result.counterexample
         print(f"  L={L}: refuted, position {ce.position} vs cut {ce.cut_position} ({ce.kind})")
-print("  minimal:", minimal_constant_empirical(w, 1, 16))
+L, checked = minimal_constant_empirical(w, 1, 16)
+print(f"  minimal: L={L} (the window checks L up to {checked})")
 
 print("\nthe periodic control never verifies:")
 pw = build_window(per, admissible_seeds(per)[0], 200)

@@ -17,7 +17,8 @@ from subrec.bignum import big_str
 
 fib = zoo.FIBONACCI
 
-print("certified constants for fibonacci:", certified_constants(fib))
+n_cert, k_cert = certified_constants(fib)
+print(f"certified constants for fibonacci: N_cert={n_cert} K_cert={k_cert}")
 
 b = recognizability_bound(fib, "empirical_exact")
 print(f"\nempirical-exact chain: N={b.N} k={b.k} d={b.d} R={b.R} Q={b.Q}")

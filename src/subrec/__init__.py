@@ -10,7 +10,6 @@ and interpretation enumeration.
 
 from . import errors
 from .fixedpoint import (
-    CuttingSet,
     Window,
     build_window,
     cutting_points,
@@ -42,10 +41,8 @@ from .morphism import (
 from .recognizability import (
     BigValue,
     BoundBreakdown,
-    CertifiedConstants,
     ClosedFormBound,
     Counterexample,
-    EmpiricalConstant,
     Interpretation,
     SyncResult,
     VerifyResult,
@@ -87,15 +84,12 @@ __all__ = [
     "aperiodicity_check",
     "fixed_point_prefix",
     "Window",
-    "CuttingSet",
     "build_window",
     "cutting_points",
     "Interpretation",
     "SyncResult",
     "VerifyResult",
     "Counterexample",
-    "EmpiricalConstant",
-    "CertifiedConstants",
     "BigValue",
     "BoundBreakdown",
     "ClosedFormBound",

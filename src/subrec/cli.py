@@ -237,7 +237,7 @@ def analyze(
     constants = report["constants"] = {
         "widest": str(m.widest),
         "narrowest": str(m.narrowest),
-        "K_cert": big_str(certified_constants(m).K_cert),
+        "K_cert": big_str(certified_constants(m)[1]),
         "d": injectivity_exponent(m),
         "d_safe": m.size,
     }
@@ -272,17 +272,15 @@ def analyze(
         window = build_window(
             m, seeds[0], max(radius, m.widest + 1), min_level=1, max_letters=DEFAULT_MAX_LETTERS
         )
-        result = minimal_constant_empirical(window, 1, DEFAULT_L_MAX)
+        L, checked = minimal_constant_empirical(window, 1, DEFAULT_L_MAX)
         report["empirical"] = {
-            "L_lower": result.certified_lower,
-            "L_heuristic": result.heuristic,
+            "L_lower": L,
+            "L_heuristic": L if L <= checked else None,
             "radius": radius,
             "level": 1,
         }
-        if result.heuristic is None:
-            warnings.append(
-                f"no recognizability constant up to L={result.L_max} on the window"
-            )
+        if L > checked:
+            warnings.append(f"no recognizability constant up to L={checked} on the window")
         else:
             warnings.append("heuristic constant is window-relative")
 
@@ -448,8 +446,7 @@ def _cmd_language(args, out) -> int:
     if args.json:
         print(emit_report({"n": args.n, "count": len(words), "words": words}, as_json=True), file=out)
     else:
-        print(f"p({args.n}) = {len(words)}", file=out)
-        print(" ".join(words), file=out)
+        print(f"p({args.n}) = {len(words)}", *words, sep="\n", file=out)
     return 0
 
 

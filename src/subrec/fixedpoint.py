@@ -3,9 +3,11 @@
 A window materializes x[lo, hi) around the seed junction of an admissible
 fixed point of sigma^e, together with the whole chain of preimage words
 (one per sigma-level), so cut positions and preimage letters at every
-level are exact by construction.  Nothing here ever searches for a
-desubstitution; that would presuppose the recognizability the verifier
-is trying to test.
+level are exact by construction.  :func:`cutting_points` reads one
+level's cuts off the tower as a single map, cut position -> (image index
+counted from the junction, preimage letter).  Nothing here ever searches
+for a desubstitution; that would presuppose the recognizability the
+verifier is trying to test.
 
 Window coordinates are absolute integers: position 0 is the first letter
 of the right ray, position -1 the last letter of the left ray.
@@ -25,13 +27,12 @@ class Window:
     """A slice x[lo, hi) of a two-sided fixed point of sigma^e.
 
     ``tower[p]`` is the level-p preimage pair (left, right): applying
-    sigma^p to it, junction-anchored, reproduces the window content.
-    ``level`` counts sigma^e applications, so tower depth is level * e.
+    sigma^p to it, junction-anchored, reproduces the window content.  The
+    tower depth ``max_level`` is a multiple of the seed power.
     """
 
     morphism: Morphism
     seed: FixedPointSeed
-    level: int
     tower: tuple[tuple[Word, Word], ...]
 
     @property
@@ -54,18 +55,6 @@ class Window:
         if not 0 <= p <= self.max_level:
             raise InputError(f"level {p} unavailable (tower holds 0..{self.max_level})")
         return self.tower[p]
-
-
-@dataclass(frozen=True)
-class CuttingSet:
-    """Level-p image boundaries inside a window.
-
-    ``positions[k]`` is where the sigma^p-image of ``preimages[k]`` starts;
-    positions are sorted, cover [lo, hi), and include 0 (the junction).
-    """
-
-    positions: tuple[int, ...]
-    preimages: tuple[str, ...]
 
 
 def _validate_seed(m: Morphism, seed: FixedPointSeed):
@@ -104,13 +93,11 @@ def build_window(
     if radius < 1:
         raise InputError("radius must be >= 1")
     _validate_seed(m, seed)
-    e = seed.power
     lengths = image_lengths(m, 1)
     pairs = [(seed.left, seed.right)]
     left, right = seed.left, seed.right
-    k = 0
-    while len(left) < radius or len(right) < radius or k * e < min_level:
-        for _ in range(e):
+    while len(left) < radius or len(right) < radius or len(pairs) <= min_level:
+        for _ in range(seed.power):
             predicted = sum(lengths[ord(c)] for c in left) + sum(
                 lengths[ord(c)] for c in right
             )
@@ -119,25 +106,18 @@ def build_window(
             left = m.apply(left)
             right = m.apply(right)
             pairs.append((left, right))
-        k += 1
-    tower = tuple(reversed(pairs))
-    return Window(m, seed, k, tower)
+    return Window(m, seed, tuple(reversed(pairs)))
 
 
-def cutting_points(window: Window, p: int) -> CuttingSet:
-    """All level-p cuts in [lo, hi) with their preimage letters, read off
-    the stored tower."""
+def cutting_points(window: Window, p: int) -> dict[int, tuple[int, str]]:
+    """All level-p cuts in [lo, hi), read off the stored tower: each cut
+    position, ascending, mapped to (its image index, the junction cut at
+    position 0 being index 0; its preimage letter)."""
     left, right = window.preimage_pair(p)
     lengths = image_lengths(window.morphism, p)
-    positions: list[int] = []
-    preimages: list[str] = []
+    cuts: dict[int, tuple[int, str]] = {}
     pos = -sum(lengths[ord(c)] for c in left)
-    for c in left:
-        positions.append(pos)
-        preimages.append(c)
+    for i, c in enumerate(left + right, -len(left)):
+        cuts[pos] = (i, c)
         pos += lengths[ord(c)]
-    for c in right:
-        positions.append(pos)
-        preimages.append(c)
-        pos += lengths[ord(c)]
-    return CuttingSet(tuple(positions), tuple(preimages))
+    return cuts

@@ -41,7 +41,7 @@ BLOCK_SCAN_PERIOD = 64
 # the sigma^j-images of a base slice no longer than this.  It is the length
 # the aperiodicity screen closes anyway, so a streamed count after the
 # screen derives its base slice by prefix-slicing and closes nothing new.
-STREAM_BASE = 200
+STREAM_BASE = DEFAULT_APERIODICITY_N
 # The streamed windows are bucketed by their first ell letters, ell the least
 # length with p(ell) >= STREAM_BUCKETS, so one bucket holds about
 # 1/STREAM_BUCKETS of L_n.  64 is at the knee: counting L_6899 of

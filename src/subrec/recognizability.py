@@ -4,8 +4,11 @@ synchronizing delay, the window-based verifier, and the bound calculators.
 Two kinds of answers come out of this module and they are never conflated:
 counterexamples found by :func:`verify_constant` are globally valid facts
 (cut status and preimage letters are ground truth from the window tower),
-while an "ok" verdict is relative to the scanned window.  Similarly the
-bound calculators label every quantity as exact, certified, or heuristic.
+while an "ok" verdict is relative to the scanned window: the pair
+(L, checked) from :func:`minimal_constant_empirical` is a certified lower
+bound L, and a window-relative minimum only when L <= checked.  Similarly
+the bound calculators label every quantity as exact, certified, or
+heuristic.
 """
 
 from __future__ import annotations
@@ -245,16 +248,6 @@ class VerifyResult:
         return self.counterexample is None
 
 
-@dataclass(frozen=True)
-class EmpiricalConstant:
-    """certified_lower is 1 + the largest refuted L (a global fact);
-    heuristic is the smallest window-ok L, None if every L <= L_max fails."""
-
-    certified_lower: int
-    heuristic: int | None
-    L_max: int
-
-
 def verify_constant(window: Window, L: int, p: int) -> VerifyResult:
     """Check the recognizability property for constant L at level p: a
     position sharing its (2L+1)-letter context with a cut must be a cut
@@ -270,13 +263,9 @@ def verify_constant(window: Window, L: int, p: int) -> VerifyResult:
     """
     if L < 0:
         raise InputError("L must be >= 0")
-    cuts = cutting_points(window, p)
+    cut_info = cutting_points(window, p)
     if L > _largest_constant(window, p):
         raise InputError(f"window [{window.lo},{window.hi}) too small for L={L} at level {p}")
-    junction_ordinal = len(window.tower[p][0])
-    cut_info: dict[int, tuple[int, str]] = {}
-    for ordinal, (pos, letter) in enumerate(zip(cuts.positions, cuts.preimages)):
-        cut_info[pos] = (ordinal - junction_ordinal, letter)
     content, lo = window.content, window.lo
     span = range(lo + L, window.hi - L)
 
@@ -314,35 +303,26 @@ def _largest_constant(window: Window, p: int) -> int:
     return (window.hi - window.lo - 1 - 2 * widest_p) // 2
 
 
-def minimal_constant_empirical(window: Window, p: int, L_max: int) -> EmpiricalConstant:
-    """Ascending scan of verify_constant over L = 0..L_max, stopped at the
-    largest L the window can check (the result's L_max); L = 0 always runs.
+def minimal_constant_empirical(window: Window, p: int, L_max: int) -> tuple[int, int]:
+    """(L, checked): an ascending scan of verify_constant over
+    L = 0..checked, checked being L_max cut to the largest L the window
+    can check (L = 0 always runs).  L is the least L the window does not
+    refute, checked + 1 when it refutes them all.
 
+    Every refuted L is a global fact, so L is a certified lower bound.
     Window-relative "ok" is monotone in L (a longer context only refines
-    the partition), so the first passing L is the heuristic minimum."""
+    the partition), so when L <= checked it is also the heuristic minimum."""
     if L_max < 0:
         raise InputError("L_max must be >= 0")
-    L_max = max(0, min(L_max, _largest_constant(window, p)))
-    for L in range(L_max + 1):
+    checked = max(0, min(L_max, _largest_constant(window, p)))
+    for L in range(checked + 1):
         if verify_constant(window, L, p).ok:
-            return EmpiricalConstant(L, L, L_max)
-    return EmpiricalConstant(L_max + 1, None, L_max)
+            return L, checked
+    return checked + 1, checked
 
 
 # ---------------------------------------------------------------------------
 # Certified constants and bounds
-
-
-@dataclass(frozen=True)
-class CertifiedConstants:
-    """Alphabet-and-width certificates: N_cert bounds |sigma^n|/<sigma^n>
-    for every n, Rret_cert bounds return words to length-2 factors, and
-    K_cert = Rret_cert * N_cert * |sigma| bounds linear recurrence, making
-    the fixed point (K_cert + 1)-power-free."""
-
-    N_cert: int
-    Rret_cert: int
-    K_cert: int
 
 
 @dataclass(frozen=True)
@@ -379,13 +359,17 @@ class BoundBreakdown:
 
 
 @per_morphism
-def certified_constants(m: Morphism) -> CertifiedConstants:
-    """Exact big-integer certificates from matrix powers alone."""
+def certified_constants(m: Morphism) -> tuple[int, int]:
+    """(N_cert, K_cert), exact big-integer certificates from matrix powers
+    alone.  N_cert = |sigma^((#A)^2)| bounds |sigma^n|/<sigma^n> for every
+    n; rret = 2 |sigma^(2 (#A)^2)| bounds return words to length-2
+    factors, and K_cert = rret * N_cert * |sigma| bounds linear recurrence,
+    making the fixed point (K_cert + 1)-power-free."""
     require_primitive(m)
     a2 = m.size * m.size
     n_cert = extreme_lengths(m, a2)[0]
     rret = 2 * extreme_lengths(m, 2 * a2)[0]
-    return CertifiedConstants(n_cert, rret, rret * n_cert * m.widest)
+    return n_cert, rret * n_cert * m.widest
 
 
 @per_morphism
@@ -456,10 +440,8 @@ def recognizability_bound(
         k_ratio: Fraction | int = recurrence_constant_empirical(m)
         warnings.append(f"K is an empirical lower bound (scan up to length {RECURRENCE_MAX_LEN})")
     elif mode == "certified":
-        certs = certified_constants(m)
-        k = certs.K_cert + 1
-        n_value = certs.N_cert
-        k_ratio = certs.K_cert
+        n_value, k_ratio = certified_constants(m)
+        k = k_ratio + 1
     else:
         raise InputError(f"unknown mode {mode!r}")
 

@@ -106,12 +106,12 @@ def test_05_fibonacci_empirical_constant():
         m = zoo.FIBONACCI
         seed = admissible_seeds(m)[0]
         window = build_window(m, seed, 1000)
-        result = minimal_constant_empirical(window, 1, 16)
-        assert (result.certified_lower, result.heuristic) == (1, 1)
+        assert minimal_constant_empirical(window, 1, 16) == (1, 16)
         # the refutation of L = 0 re-checked on an independent window
         refuted = verify_constant(window, 0, 1)
+        steps = window.max_level // seed.power
         oracle = OracleWindow(
-            FIB_RULES, m.decode(seed.left), m.decode(seed.right), seed.power, window.level
+            FIB_RULES, m.decode(seed.left), m.decode(seed.right), seed.power, steps
         )
         ce = refuted.counterexample
         assert check_counterexample(oracle, 0, 1, ce.cut_position, ce.position)
@@ -136,9 +136,10 @@ def test_06_fibonacci_bound_chain():
             a, b = b, a + b
         assert widest == a
         assert breakdown.bound.exact == 24 * a + 2
-        heuristic = minimal_constant_empirical(
+        heuristic, checked = minimal_constant_empirical(
             build_window(m, admissible_seeds(m)[0], 1000), 1, 16
-        ).heuristic
+        )
+        assert heuristic <= checked
         assert breakdown.bound.exact >= heuristic
 
 
@@ -167,10 +168,8 @@ def test_08_structural_invariants_suite():
             # point)
             f = {}
             for p in range(0, window.max_level + 1):
-                cs = cutting_points(window, p)
-                junction = cs.positions.index(0)
-                bounds = cs.positions + (window.hi,)
-                f[p] = {i - junction: pos for i, pos in enumerate(bounds)}
+                f[p] = {i: pos for pos, (i, _) in cutting_points(window, p).items()}
+                f[p][max(f[p]) + 1] = window.hi
             for p in range(1, min(6, window.max_level)):
                 for i in range(0, 50):
                     if i in f[p] and i in f[p + 1] and f[p][i] in f[1]:
@@ -184,10 +183,10 @@ def test_08_structural_invariants_suite():
             for p in range(1, min(window.max_level, 5)):
                 finer = cutting_points(window, p)
                 coarser = cutting_points(window, p + 1)
-                assert set(coarser.positions) <= set(finer.positions)
+                assert set(coarser) <= set(finer)
             for p in (1, 2, 3):
                 widest, narrowest = extreme_lengths(m, p)
-                positions = cutting_points(window, p).positions
+                positions = list(cutting_points(window, p))
                 assert all(
                     narrowest <= b - a <= widest for a, b in zip(positions, positions[1:])
                 )

@@ -112,6 +112,14 @@ class TestSubcommands:
         assert code == 0
         assert "p(3) = 6" in out
 
+    def test_language_multichar_tokens(self, morph_file):
+        # decode separates multi-character tokens by spaces, so the factors
+        # go one per line to stay apart
+        text = "[x] -> [x] [y]\n[y] -> [x]\n"
+        code, out, _ = invoke(["language", morph_file("xy.morph", text), "--n", "2"])
+        assert code == 0
+        assert out.splitlines() == ["p(2) = 3", "[x] [x]", "[x] [y]", "[y] [x]"]
+
     def test_language_json(self, morph_file):
         code, out, _ = invoke(
             ["language", morph_file("fib.morph", FIB_TEXT), "--n", "2", "--json"]

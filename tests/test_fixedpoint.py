@@ -35,9 +35,9 @@ def cut_map(w, p):
     """i -> window position of the i-th level-p image boundary: boundary 0
     is the junction, i < 0 counts the left preimage ray backwards, and the
     window's end closes the right one."""
-    cs = cutting_points(w, p)
-    junction = cs.positions.index(0)
-    return {i - junction: pos for i, pos in enumerate(cs.positions + (w.hi,))}
+    f = {i: pos for pos, (i, _) in cutting_points(w, p).items()}
+    f[max(f) + 1] = w.hi
+    return f
 
 
 class TestBuildWindow:
@@ -120,32 +120,32 @@ class TestCutPosition:
 class TestCuttingPoints:
     def test_fib_level_one(self, fib):
         w = window_of(fib)
-        cs = cutting_points(w, 1)
-        visible = [(p, fib.decode(c)) for p, c in zip(cs.positions, cs.preimages) if 0 <= p < 8]
+        cuts = cutting_points(w, 1)
+        visible = [(p, fib.decode(c)) for p, (_, c) in cuts.items() if 0 <= p < 8]
         assert visible == [(0, "a"), (2, "b"), (3, "a"), (5, "a"), (7, "b")]
 
     def test_fib_level_two(self, fib):
         w = window_of(fib)
-        cs = cutting_points(w, 2)
-        assert [p for p in cs.positions if 0 <= p < 8] == [0, 3, 5]
+        assert [p for p in cutting_points(w, 2) if 0 <= p < 8] == [0, 3, 5]
 
     def test_level_zero_is_identity(self, fib):
         w = build_window(fib, admissible_seeds(fib)[0], 20)
-        cs = cutting_points(w, 0)
-        assert list(cs.positions) == list(range(w.lo, w.hi))
-        assert "".join(cs.preimages) == w.content
+        cuts = cutting_points(w, 0)
+        assert list(cuts) == list(range(w.lo, w.hi))
+        assert [i for i, _ in cuts.values()] == list(cuts)
+        assert "".join(c for _, c in cuts.values()) == w.content
 
     def test_oracle_agreement(self):
         for m, rules in RULED:
             seed = admissible_seeds(m)[0]
             w = build_window(m, seed, 100)
+            steps = w.max_level // seed.power
             oracle = OracleWindow(
-                rules, m.decode(seed.left), m.decode(seed.right), seed.power, w.level
+                rules, m.decode(seed.left), m.decode(seed.right), seed.power, steps
             )
             for p in (1, 2, 3):
                 expected = oracle.cuts(p)
-                cs = cutting_points(w, p)
-                got = {pos: m.decode(c) for pos, c in zip(cs.positions, cs.preimages)}
+                got = {pos: m.decode(c) for pos, (_, c) in cutting_points(w, p).items()}
                 assert got == expected
 
 
@@ -154,8 +154,8 @@ class TestStructuralInvariants:
         for m, _ in RULED:
             w = window_of(m)
             for p in range(1, min(w.max_level, 5)):
-                finer = set(cutting_points(w, p).positions)
-                coarser = set(cutting_points(w, p + 1).positions)
+                finer = set(cutting_points(w, p))
+                coarser = set(cutting_points(w, p + 1))
                 assert coarser <= finer
 
     def test_gap_bounds(self):
@@ -163,7 +163,7 @@ class TestStructuralInvariants:
             w = window_of(m)
             for p in (1, 2, 3, 4):
                 widest, narrowest = extreme_lengths(m, p)
-                positions = cutting_points(w, p).positions
+                positions = list(cutting_points(w, p))
                 gaps = [b - a for a, b in zip(positions, positions[1:])]
                 assert all(narrowest <= g <= widest for g in gaps)
 
@@ -171,9 +171,8 @@ class TestStructuralInvariants:
         for m, _ in RULED:
             w = window_of(m)
             for p in (1, 2, 3):
-                cs = cutting_points(w, p)
                 images = power(m, p).images
-                for pos, pre in list(zip(cs.positions, cs.preimages))[1:-1]:
+                for pos, (_, pre) in list(cutting_points(w, p).items())[1:-1]:
                     block = images[ord(pre)]
                     if pos + len(block) <= w.hi:
                         assert segment(w, pos, pos + len(block)) == block

@@ -151,7 +151,7 @@ class TestComplexity:
     def test_certified_k_dominates(self):
         # exact complexity sits below the certified linear bound
         for m in ZOO:
-            k_cert = certified_constants(m).K_cert
+            k_cert = certified_constants(m)[1]
             for n in range(1, 31):
                 assert complexity(m, n) <= k_cert * n
 
@@ -326,7 +326,7 @@ class TestRecurrenceConstant:
         # the scanned window shows no power beyond the certified ceiling
         for m, rules in RULED:
             window = prefix(rules, 2000)
-            k_cert = certified_constants(m).K_cert
+            k_cert = certified_constants(m)[1]
             assert max_power_exponent_brute(window, 40) <= k_cert
 
 

@@ -249,8 +249,9 @@ class TestVerifyConstant:
         for m, rules in RULED:
             seed = admissible_seeds(m)[0]
             w = build_window(m, seed, 300)
+            steps = w.max_level // seed.power
             oracle = OracleWindow(
-                rules, m.decode(seed.left), m.decode(seed.right), seed.power, w.level
+                rules, m.decode(seed.left), m.decode(seed.right), seed.power, steps
             )
             for p in (1, 2):
                 for L in range(0, 4):
@@ -283,8 +284,9 @@ class TestVerifyConstant:
     def test_matches_bucket_reference(self, m, rules):
         seed = admissible_seeds(m)[0]
         w = build_window(m, seed, 300, min_level=3)
+        steps = w.max_level // seed.power
         oracle = OracleWindow(
-            rules, m.decode(seed.left), m.decode(seed.right), seed.power, w.level
+            rules, m.decode(seed.left), m.decode(seed.right), seed.power, steps
         )
         for p in (1, 2, 3):
             for L in (0, 1, 2, 3, 4, 6, 8):
@@ -304,35 +306,33 @@ class TestVerifyConstant:
 
 class TestMinimalConstant:
     def test_fib(self, fib):
-        result = minimal_constant_empirical(window_of(fib), 1, 16)
-        assert (result.certified_lower, result.heuristic) == (1, 1)
+        assert minimal_constant_empirical(window_of(fib), 1, 16) == (1, 16)
 
     def test_tm_level_two(self, tm):
-        result = minimal_constant_empirical(window_of(tm), 2, 16)
-        assert (result.certified_lower, result.heuristic) == (3, 3)
+        assert minimal_constant_empirical(window_of(tm), 2, 16) == (3, 16)
 
     def test_periodic_exhausts(self, per):
-        result = minimal_constant_empirical(window_of(per), 1, 8)
-        assert result.certified_lower == 9
-        assert result.heuristic is None
+        # every L <= 8 refuted: L = checked + 1
+        assert minimal_constant_empirical(window_of(per), 1, 8) == (9, 8)
 
 
 class TestPowerScaling:
     def test_soundness_fib_tm(self, fib, tm):
         for m in (fib, tm):
             w = window_of(m, min_level=4)
-            base = minimal_constant_empirical(w, 1, 16).heuristic
+            base, checked = minimal_constant_empirical(w, 1, 16)
+            assert base <= checked
             scaled = power_scaled_constant(base, 2, m.widest)
             assert verify_constant(w, scaled, 2).ok
 
 
 class TestCertifiedConstants:
     def test_fib_values(self, fib):
-        certs = certified_constants(fib)
-        assert certs.N_cert == 8
-        assert certs.Rret_cert == 110
-        assert certs.K_cert == 1760
-        assert recognizability_bound(fib, "certified").k == certs.K_cert + 1 == 1761
+        n_cert, k_cert = certified_constants(fib)
+        assert n_cert == 8
+        # return words to length-2 factors: 2 |sigma^8| = 110
+        assert k_cert == 110 * n_cert * fib.widest == 1760
+        assert recognizability_bound(fib, "certified").k == k_cert + 1 == 1761
 
     def test_exact_ratio_constants(self, fib, tm):
         assert exact_ratio_constant(fib)[0] == 2
@@ -381,7 +381,8 @@ class TestRecognizabilityBound:
     def test_bound_dominates_empirical_constant(self):
         for m, _ in RULED:
             b = recognizability_bound(m, "empirical_exact")
-            heuristic = minimal_constant_empirical(window_of(m), 1, 16).heuristic
+            heuristic, checked = minimal_constant_empirical(window_of(m), 1, 16)
+            assert heuristic <= checked
             assert b.bound.log10 > math.log10(max(heuristic, 1))
 
     def test_closed_form_dominates_certified(self):
@@ -393,7 +394,8 @@ class TestRecognizabilityBound:
     def test_delay_constant_band(self):
         for m, _ in RULED:
             delay = synchronizing_delay(m, 16).delay
-            heuristic = minimal_constant_empirical(window_of(m), 1, 16).heuristic
+            heuristic, checked = minimal_constant_empirical(window_of(m), 1, 16)
+            assert heuristic <= checked
             assert delay <= 2 * heuristic + 1 + 2 * m.widest
 
     def test_closure_cap_boundary(self, fib, monkeypatch):
