@@ -27,8 +27,8 @@ from .language import (
     DEFAULT_APERIODICITY_N,
     RECURRENCE_MAX_LEN,
     aperiodicity_check,
-    complexity,
     factor_language,
+    language_of,
     power_free_index,
     recurrence_constant_empirical,
 )
@@ -257,7 +257,7 @@ def analyze(
         else:
             warnings.append(f"K_emp is a lower bound from a length-{RECURRENCE_MAX_LEN} scan")
 
-    report["complexity"] = [complexity(m, n) for n in range(1, DEFAULT_N_REPORT + 1)]
+    report["complexity"] = language_of(m).ensure(DEFAULT_N_REPORT)[1:]
 
     delay = synchronizing_delay(m, max_delay)
     report["delay"] = _delay_json(m, delay, max_delay)

@@ -4,15 +4,10 @@ The factor sets are exact: they are computed as the least fixed point of
 a monotone closure map (seeded from the image of one letter; for a
 primitive morphism any nonempty seed closes to the whole slice), not by
 scanning a finite window and hoping it was long enough.  Long complexity
-counts store no slice at all.  Past a base length t, L_n is exactly the
-set of length-n windows of sigma^j(v) that start inside sigma^j(v[0]),
-for v in L_t and t = ceil((n-1)/<sigma^j>) + 1: sound, since sigma^j(v)
-is a factor; complete, since every point of the shift is a shift of
-sigma^j of a point.  Grouped by a short prefix, these windows come out in
-sorted order one bucket at a time, which is all the neighbour-LCP count
-of p(k) reads (see FactorLanguage).  Fixed-point prefixes are scanned
-only for screens and lower bounds, each reported as such.  The
-aperiodicity screen returns the period it finds or None, and
+counts store no slice at all: they stream L_n in sorted order from the
+sigma^j-images of a base slice (see FactorLanguage).  Fixed-point
+prefixes are scanned only for screens and lower bounds, each reported as
+such.  The aperiodicity screen returns the period it finds or None, and
 require_aperiodic refuses a periodic fixed point; power_free_index
 returns k, or refuses with CapExceeded when the scan cannot pin it;
 recurrence_constant_empirical returns the recurrence ratio K_emp, a
@@ -49,6 +44,15 @@ STREAM_BASE = DEFAULT_APERIODICITY_N
 # and 28 MB RSS with 1, 8, 64 and 512 buckets, in times within 15 % of
 # each other, and the base slice and the interpreter take about 25 MB.
 STREAM_BUCKETS = 64
+CLOSURE_MAX_LETTERS = 10**8  # letters a slice or count past STREAM_BASE may read
+
+
+def base_length(n: int, narrowest: int) -> int:
+    """t = ceil((n-1)/narrowest) + 1.  With narrowest = <sigma>, a word v
+    of length t has |sigma(v)| >= |sigma(v[0])| + (t-1)<sigma> >=
+    |sigma(v[0])| + n - 1, so every length-n window of sigma(v) that starts
+    inside sigma(v[0]) fits in sigma(v); the same holds for sigma^j."""
+    return -(-(n - 1) // narrowest) + 1
 
 
 class FactorLanguage:
@@ -60,10 +64,8 @@ class FactorLanguage:
     and each round expands only the words the previous round added: from
     sigma(w) it keeps the length-c windows that start inside sigma(w[0]),
     at offsets o < |sigma(w[0])|.  sigma is applied to the prefix w[:t]
-    alone, with t = ceil((c-1)/<sigma>) + 1, since |sigma(w[:t])| >=
-    |sigma(w[0])| + (t-1)<sigma> >= o + c already covers every such
-    window.  The least fixed point above the seed is exactly the length-c
-    slice L_c:
+    alone, t = base_length(c, <sigma>), which covers every such window.
+    The least fixed point above the seed is exactly the length-c slice L_c:
 
     - sound: each window kept is a factor of sigma(w), w in the language;
     - complete: take u in L_c and a seed word w_s placed in a point y of
@@ -79,7 +81,7 @@ class FactorLanguage:
 
     Up to STREAM_BASE, ensure(n) closes and stores L_n.  Past it, the
     count reads L_n in sorted order from a stream and stores no length-n
-    slice.  Take the least j >= 1 with t = ceil((n-1)/<sigma^j>) + 1 <=
+    slice.  Take the least j >= 1 with t = base_length(n, <sigma^j>) <=
     STREAM_BASE.  Then L_n is exactly the set of length-n windows of
     sigma^j(v) that start inside sigma^j(v[0]), for v in L_t:
 
@@ -88,8 +90,7 @@ class FactorLanguage:
       y and an offset o < |sigma^j(y_0)| (primitive sigma^j maps the shift
       into itself and covers it up to shifts), so the length-n factor of
       x at 0 is the window at o of sigma^j(v), v = y[0:t] in L_t;
-    - each of these windows fits: |sigma^j(v)| >= |sigma^j(v[0])| +
-      (t-1)<sigma^j> >= |sigma^j(v[0])| + n - 1.
+    - each of these windows fits in sigma^j(v) (see base_length).
 
     The (image, offset) pairs are grouped by their first ell letters, ell
     the least length with p(ell) >= STREAM_BUCKETS.  Two words with
@@ -98,6 +99,12 @@ class FactorLanguage:
     and the neighbour count above runs over that stream unchanged (a pair
     across two buckets has the LCP of their keys).  At most one bucket of
     length-n words is alive at a time.
+
+    A slice or count past STREAM_BASE reads every word of L_n: at least
+    (n + 1) n letters, since p(n) >= n + 1 when aperiodic (Morse-Hedlund).
+    Past CLOSURE_MAX_LETTERS it is refused with CapExceeded, unless the
+    screen found a period, which p(n) then equals.  Lengths up to
+    STREAM_BASE are not priced: the screen closes them itself.
     """
 
     def __init__(self, m: Morphism):
@@ -114,7 +121,7 @@ class FactorLanguage:
         seed = chr(0)
         while len(seed) < c:
             seed = m.apply(seed)
-        images, t = m.images, -(-(c - 1) // m.narrowest) + 1
+        images, t = m.images, base_length(c, m.narrowest)
         # Every window of the seed, though one would be exact too: a slice
         # too large for memory then fails here, not after many rounds.
         frontier = {seed[i : i + c] for i in range(len(seed) - c + 1)}
@@ -128,9 +135,18 @@ class FactorLanguage:
             closed |= frontier
         return frozenset(closed)
 
+    def _price(self, n: int):
+        """Refuse L_n past the letter cap (see the class docstring)."""
+        letters = (n + 1) * n
+        if n > STREAM_BASE and letters > CLOSURE_MAX_LETTERS and not aperiodicity_check(self.morphism):
+            raise CapExceeded(
+                f"language closure at length {n} holds at least {letters} letters,"
+                f" past the cap {CLOSURE_MAX_LETTERS}"
+            )
+
     def _close(self, n: int) -> frozenset[Word]:
-        """Close and store L_n, counting p(k) from it when that reaches
-        past the counts held."""
+        """Close and store L_n; count p(k) from it past the counts held."""
+        self._price(n)
         words = self._slices[n] = self._closure(n)
         self._closed_at = n
         if n >= len(self._counts):
@@ -142,7 +158,7 @@ class FactorLanguage:
         docstring); n > STREAM_BASE and |sigma| > 1."""
         m = self.morphism
         images = m.images
-        while (t := -(-(n - 1) // min(map(len, images))) + 1) > STREAM_BASE:
+        while (t := base_length(n, min(map(len, images)))) > STREAM_BASE:
             images = tuple(m.apply(w) for w in images)
         base = self.slice(t)
         counts = self._counts
@@ -150,22 +166,24 @@ class FactorLanguage:
         buckets: dict[Word, list[tuple[Word, int]]] = {}
         for v in base:
             lead = len(images[ord(v[0])])
-            text = "".join(images[ord(c)] for c in v)[: lead + n - 1]
+            text = v.translate(images)[: lead + n - 1]
             for o in range(lead):
                 buckets.setdefault(text[o : o + ell], []).append((text, o))
         for key in sorted(buckets):
             yield from sorted({text[o : o + n] for text, o in buckets.pop(key)})
 
-    def ensure(self, n: int):
-        """Count p(k) for every k <= n: by closing and storing L_n up to
-        STREAM_BASE, by streaming past it.  Call before ascending
-        complexity loops."""
-        if n < len(self._counts):
-            return
-        if n <= STREAM_BASE or self.morphism.widest == 1:
-            self._close(n)
-        else:
-            self._counts = _prefix_counts(self._sorted_windows(n), n)
+    def ensure(self, n: int) -> list[int]:
+        """[p(0), ..., p(n)], held for later calls: counted from L_n, closed
+        up to STREAM_BASE, priced and streamed past it (see above)."""
+        if n < 0:
+            raise InputError("factor length must be >= 0")
+        if n >= len(self._counts):
+            if n <= STREAM_BASE or self.morphism.widest == 1:
+                self._close(n)
+            else:
+                self._price(n)
+                self._counts = _prefix_counts(self._sorted_windows(n), n)
+        return self._counts[: n + 1]
 
     def slice(self, n: int) -> frozenset[Word]:
         """L_n: a prefix set of the longest stored slice, or closed anew
@@ -181,14 +199,6 @@ class FactorLanguage:
             return self._close(n)
         words = self._slices[n] = frozenset({w[:n] for w in self._slices[self._closed_at]})
         return words
-
-    def complexity(self, n: int) -> int:
-        """p(n), read from the counts (see ensure)."""
-        if n < 0:
-            raise InputError("factor length must be >= 0")
-        if n >= len(self._counts):
-            self.ensure(n)
-        return self._counts[n]
 
     def __contains__(self, word: Word) -> bool:
         return word in self.slice(len(word))
@@ -233,7 +243,7 @@ def complexity(m: Morphism, n: int) -> int:
     """Number of distinct length-n factors; p(0) = 1."""
     if n == 0:
         return 1
-    return language_of(m).complexity(n)
+    return language_of(m).ensure(n)[n]
 
 
 def right_prolongable_letter(m: Morphism) -> tuple[str, int]:
@@ -308,13 +318,8 @@ def aperiodicity_check(m: Morphism) -> int | None:
     stabilizes at the period, so the first n with p(n) <= n already has
     p(n) equal to the period.  None is a screening verdict, not a proof.
     """
-    lang = language_of(m)
-    lang.ensure(DEFAULT_APERIODICITY_N)
-    for n in range(1, DEFAULT_APERIODICITY_N + 1):
-        p = lang.complexity(n)
-        if p <= n:
-            return p
-    return None
+    counts = language_of(m).ensure(DEFAULT_APERIODICITY_N)
+    return next((p for n, p in enumerate(counts) if p <= n), None)
 
 
 def require_aperiodic(m: Morphism) -> None:

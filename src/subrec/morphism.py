@@ -4,8 +4,10 @@ Letters are stored as dense indices; a word is a ``str`` whose characters
 are ``chr(index)``.  Display tokens exist only at the I/O boundary: the
 tuple ``Morphism.letters`` holds them in index order, and
 :func:`parse_morphism`, :meth:`Morphism.encode` and :meth:`Morphism.decode`
-translate.  All length computations that could blow up go through exact
-big-integer powers of the incidence matrix, never through word expansion.
+translate; words are validated there, so :meth:`Morphism.apply` is one
+``str.translate`` by the images tuple.  All length computations that could
+blow up go through exact big-integer powers of the incidence matrix, never
+through word expansion.
 
 A :class:`Morphism` is immutable in its fields, and everything derived
 from it (matrix powers, primitivity, the factor language, the bound
@@ -26,7 +28,6 @@ from .errors import InputError, MorphismSyntaxError, SubrecError
 Word = str  # characters are chr(letter index)
 
 _BRACKETED = re.compile(r"^\[[^\[\]\s]+\]$")
-_BLOCK = 64  # letters per memoized block in Morphism.apply
 
 
 @dataclass(frozen=True)
@@ -80,23 +81,10 @@ class Morphism:
         """min |sigma(a)| over letters a."""
         return min(len(w) for w in self.images)
 
-    @functools.cached_property
-    def _block_images(self) -> dict[Word, Word]:
-        """Images of the blocks :meth:`apply` has met, keyed by block."""
-        return {}
-
     def apply(self, word: Word) -> Word:
-        """sigma(word), joined from the memoized images of its
-        _BLOCK-letter blocks: one lookup per block, not one per letter."""
-        blocks, images = self._block_images, self.images
-        parts = []
-        for i in range(0, len(word), _BLOCK):
-            block = word[i : i + _BLOCK]
-            image = blocks.get(block)
-            if image is None:
-                image = blocks[block] = "".join(images[ord(ch)] for ch in block)
-            parts.append(image)
-        return "".join(parts)
+        """sigma(word).  Letter i is chr(i), so the images tuple is a
+        translate table; a character past the alphabet is left unchanged."""
+        return word.translate(self.images)
 
     def encode(self, text: str) -> Word:
         """Convert display tokens (contiguous or whitespace-separated) to a word.

@@ -21,12 +21,13 @@ from itertools import accumulate
 from typing import Iterator, Literal
 
 from .bignum import digits10, int_log10, log10_line
-from .errors import CapExceeded, InputError
+from .errors import InputError
 from .fixedpoint import Window, cutting_points
 from .language import (
     DEFAULT_APERIODICITY_N,
     RECURRENCE_MAX_LEN,
     aperiodicity_check,
+    base_length,
     language_of,
     power_free_index,
     recurrence_constant_empirical,
@@ -43,12 +44,6 @@ from .morphism import (
 )
 
 DEFAULT_EXACT_CAP = 10**6  # decimal digits; past it a value is carried in logarithmic form
-# Letters the empirical bound's count of p(i), i <= c, may read.  The count
-# streams L_c and holds one prefix bucket of it at a time, but it reads every
-# word: Morse-Hedlund gives p(c) >= c + 1 for an aperiodic word, so that is
-# at least (c + 1) c letters, and past the cap the bound is refused up front.
-# The refusal still names them as the letters the closure at length c holds.
-CLOSURE_MAX_LETTERS = 10**8
 
 
 # ---------------------------------------------------------------------------
@@ -139,10 +134,9 @@ class SyncResult:
 
 def _first_images(m: Morphism, n: int) -> Iterator[tuple[Word, Word, list[int]]]:
     """(w, sigma(w), its image boundaries 0, ..., |sigma(w)|) for each w in
-    L_t, t = ceil((n-1)/<sigma>) + 1: the closure's t at length n, whose
-    windows at offsets o < |sigma(w[0])| are exactly L_n (see the
-    completeness argument in the FactorLanguage docstring)."""
-    for w in language_of(m).slice(-(-(n - 1) // m.narrowest) + 1):
+    L_t, t = base_length(n, <sigma>): their windows at offsets
+    o < |sigma(w[0])| are exactly L_n (see FactorLanguage)."""
+    for w in language_of(m).slice(base_length(n, m.narrowest)):
         yield w, m.apply(w), list(accumulate((len(m.images[ord(c)]) for c in w), initial=0))
 
 
@@ -170,34 +164,13 @@ def interpretations(m: Morphism, u: Word) -> tuple[Interpretation, ...]:
     return tuple(found[key] for key in sorted(found))
 
 
-def _sync_cuts(m: Morphism, n: int) -> dict[Word, set[int]]:
-    """Each length-n factor with the positions k in 1..n where every
-    interpretation places an image boundary.
-
-    One first-image pass: every window at an offset o < |sigma(w[0])| of
-    sigma(w) is one interpretation of its factor (see :func:`interpretations`),
-    and its boundaries past o are intersected per factor, with no search
-    per factor."""
-    common: dict[Word, set[int]] = {}
-    for _, image, bounds in _first_images(m, n):
-        for o in range(bounds[1]):
-            cuts = {b - o for b in bounds[1 : bisect_right(bounds, o + n)]}
-            common.setdefault(image[o : o + n], cuts).intersection_update(cuts)
-    return common
-
-
 def synchronizing_point(m: Morphism, u: Word) -> tuple[int, ...]:
-    """Positions k where every interpretation of u places an image boundary,
-    in ascending order; empty when u is not synchronized.
-
-    k ranges over 1..|u|; the boundary k = |u| (suffix aligned with a full
-    image) is allowed.
-    """
-    if not u:
-        raise InputError("u must be non-empty")
-    if u not in language_of(m):
-        raise InputError(f"{m.decode(u)!r} is not a factor")
-    return tuple(sorted(_sync_cuts(m, len(u))[u]))
+    """Positions k in 1..|u| where every interpretation of u places an
+    image boundary, in ascending order (k = |u|, the suffix aligned with a
+    full image, is allowed): the cuts k >= 1 common to all
+    :func:`interpretations` of u, none when u is not synchronized."""
+    cuts = [{k for k in interp.cuts if k > 0} for interp in interpretations(m, u)]
+    return tuple(sorted(set.intersection(*cuts)))
 
 
 def synchronizing_delay(m: Morphism, n_max: int) -> SyncResult:
@@ -207,7 +180,9 @@ def synchronizing_delay(m: Morphism, n_max: int) -> SyncResult:
     interpretations induce interpretations of the factor and inherit the
     common boundary), so the first all-synchronized length is the delay.
     Periodic fixed points never have one; they are screened out first and
-    reported as delay None.
+    reported as delay None.  Each length is one first-image pass: each
+    window of sigma(w) at an offset o < |sigma(w[0])| is one interpretation
+    of its factor, and the boundaries past o are intersected per factor.
     """
     if n_max < 1:
         raise InputError("n_max must be >= 1")
@@ -215,7 +190,12 @@ def synchronizing_delay(m: Morphism, n_max: int) -> SyncResult:
         return SyncResult(None, (), screened_periodic=True)
     per_length: list[tuple[int, tuple[Word, ...]]] = []
     for n in range(1, n_max + 1):
-        bad = tuple(sorted(u for u, cuts in _sync_cuts(m, n).items() if not cuts))
+        common: dict[Word, set[int]] = {}
+        for _, image, bounds in _first_images(m, n):
+            for o in range(bounds[1]):
+                cuts = {b - o for b in bounds[1 : bisect_right(bounds, o + n)]}
+                common.setdefault(image[o : o + n], cuts).intersection_update(cuts)
+        bad = tuple(sorted(u for u, cuts in common.items() if not cuts))
         per_length.append((n, bad))
         if not bad:
             return SyncResult(n, tuple(per_length))
@@ -449,17 +429,8 @@ def recognizability_bound(
     i_lo = -((-r_value) // n_value)
     i_hi = r_value * n_value + 2
     if mode == "empirical_exact":
-        c = max(r_value, i_hi)
-        if (c + 1) * c > CLOSURE_MAX_LETTERS:
-            raise CapExceeded(
-                f"language closure at length {c} holds at least {(c + 1) * c} letters,"
-                f" past the cap {CLOSURE_MAX_LETTERS}"
-            )
-        lang = language_of(m)
-        lang.ensure(c)
-        q_value = 1 + lang.complexity(r_value) * sum(
-            lang.complexity(i) for i in range(i_lo, i_hi + 1)
-        )
+        counts = language_of(m).ensure(max(r_value, i_hi))
+        q_value = 1 + counts[r_value] * sum(counts[i_lo : i_hi + 1])
     else:
         total = (i_hi * (i_hi + 1) - (i_lo - 1) * i_lo) // 2
         q_value = 1 + (k_ratio * r_value) * (k_ratio * total)

@@ -322,8 +322,10 @@ class TestMaxDelayRefused:
 
 
 class TestClosureCap:
-    """The empirical bound is refused before a closure whose slice must
-    hold more than CLOSURE_MAX_LETTERS letters; analyze keeps its report."""
+    """A count or slice past STREAM_BASE whose words must hold more than
+    language.CLOSURE_MAX_LETTERS letters is refused before it is built:
+    the empirical bound and the language subcommand exit 3, and analyze
+    keeps its report."""
 
     def test_bound_empirical_exits_3(self, morph_file):
         code, out, err = invoke(
@@ -351,6 +353,23 @@ class TestClosureCap:
         assert proc.returncode == 0, proc.stderr
         detail = json.loads(proc.stdout)["maindetail"]
         assert (detail["N"], detail["R"], detail["Q"]) == ("11", "627", "505597640176")
+
+    def test_long_slice_exits_3_under_address_cap(self, morph_file):
+        """p(30000) = 30001 on Fibonacci, so L_30000 holds over 9e8
+        letters: the slice is refused before it is built, not ended by a
+        MemoryError."""
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from subrec.cli import main; sys.exit(main())",
+             "language", morph_file("fib.morph", FIB_TEXT), "--n", "30000"],
+            env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src")),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (200 << 20, 200 << 20)),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == (
+            "subrec: cap exceeded: language closure at length 30000 holds at least"
+            " 900030000 letters, past the cap 100000000\n"
+        )
 
     def test_analyze_omits_maindetail(self, morph_file):
         code, out, _ = invoke(["analyze", morph_file("r4.morph", ROADMAP4_TEXT), "--json"])

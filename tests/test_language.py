@@ -86,11 +86,12 @@ class TestFactorLanguage:
                 expected = sorted(closure_reference(rules, c))
                 lang = FactorLanguage(m)
                 for closed in (c, 2 * c + 3):
-                    lang.ensure(closed)
+                    counts = lang.ensure(closed)
                     words = lang.slice(c)
                     assert decoded(m, words) == expected, (rules, c)
+                    assert len(counts) == closed + 1
                     for k in range(c + 1):
-                        assert lang.complexity(k) == len({w[:k] for w in words})
+                        assert counts[k] == len({w[:k] for w in words})
 
     def test_streamed_counts_match_closure(self, monkeypatch):
         """Past STREAM_BASE, ensure counts p(k) from sigma^j-windows of the
@@ -111,12 +112,11 @@ class TestFactorLanguage:
                 monkeypatch.setattr(language, "STREAM_BUCKETS", buckets)
                 for n in (13, 40, 150):
                     lang = FactorLanguage(m)
-                    lang.ensure(n)
-                    assert lang._counts == counts[: n + 1], (rules, base, buckets, n)
+                    assert lang.ensure(n) == counts[: n + 1], (rules, base, buckets, n)
                     assert (n in lang._slices) == (m.widest == 1)
                     for k in (base - 1, base, base + 1, n):
                         assert lang.slice(k) == {w[:k] for w in reference}
-                        assert lang.complexity(k) == counts[k]
+                        assert lang.ensure(k)[k] == counts[k]
 
     def test_extension_closure(self):
         for m in ZOO:

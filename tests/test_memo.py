@@ -20,16 +20,19 @@ from subrec import (
     language_of,
     parse_morphism,
     power_free_index,
+    recognizability_bound,
     zoo,
 )
 from subrec.cli import analyze
-from subrec.errors import CapExceeded
-from subrec.language import _max_power_exponent
+from subrec.errors import CapExceeded, InputError
+from subrec.language import FactorLanguage, _max_power_exponent
 from subrec.morphism import Morphism
 
 FIB_TEXT = "a -> a b\nb -> a"
 AAB_TEXT = "a -> a a b\nb -> b c a\nc -> c a b"
 LONG_A_TEXT = "a -> " + "a " * 65 + "b\nb -> a"  # power-free index past DEFAULT_MAX_K
+# N = 11, R = 627: the empirical bound counts p(i) up to 6899
+STREAM_TEXT = "f -> u u\np -> f u x\nu -> u x\nx -> x p"
 
 
 def test_memo_outside_equality_hash_and_repr():
@@ -104,7 +107,28 @@ def test_closure_expands_each_word_once():
     m = parse_morphism(AAB_TEXT)
     lang = language_of(m)
     profile = cProfile.Profile()
-    profile.runcall(lang.ensure, 200)
-    counts = {entry.code: entry.callcount for entry in profile.getstats()}
-    assert lang.complexity(200) == 997
-    assert counts.get(Morphism.apply.__code__, 0) <= 997 + 5
+    counts = profile.runcall(lang.ensure, 200)
+    calls = {entry.code: entry.callcount for entry in profile.getstats()}
+    assert counts[200] == 997
+    assert calls.get(Morphism.apply.__code__, 0) <= 997 + 5
+
+
+def test_bound_streams_the_counts_once(monkeypatch):
+    """The empirical bound reads every p(i), i <= c = 6899, from one
+    stream of L_c, not one per i."""
+    streams = []
+    sorted_windows = FactorLanguage._sorted_windows
+
+    def counted(lang, n):
+        streams.append(n)
+        return sorted_windows(lang, n)
+
+    monkeypatch.setattr(FactorLanguage, "_sorted_windows", counted)
+    m = parse_morphism(STREAM_TEXT)
+    assert recognizability_bound(m, "empirical_exact").Q == 505597640176
+    assert streams == [6899]
+
+
+def test_negative_length_refused():
+    with pytest.raises(InputError, match="factor length must be >= 0"):
+        language_of(parse_morphism(FIB_TEXT)).ensure(-1)

@@ -23,7 +23,7 @@ from subrec import (
     synchronizing_point,
     verify_constant,
 )
-from subrec import power_free_index, recognizability, recurrence_constant_empirical, zoo
+from subrec import language, power_free_index, recurrence_constant_empirical, zoo
 from subrec.cli import _delay_json
 from subrec.errors import CapExceeded, InputError, NotAperiodicError
 from subrec.morphism import parse_morphism
@@ -398,14 +398,15 @@ class TestRecognizabilityBound:
             assert heuristic <= checked
             assert delay <= 2 * heuristic + 1 + 2 * m.widest
 
-    def test_closure_cap_boundary(self, fib, monkeypatch):
-        # R = 24 and N = 2 close the slice at c = 50: at least 51 * 50 letters
-        monkeypatch.setattr(recognizability, "CLOSURE_MAX_LETTERS", 51 * 50 - 1)
-        with pytest.raises(CapExceeded, match="language closure at length 50 holds at least 2550"):
-            recognizability_bound(fib, "empirical_exact")
-        assert recognizability_bound(fib, "certified").R == 112784  # no closure
-        monkeypatch.setattr(recognizability, "CLOSURE_MAX_LETTERS", 51 * 50)
-        assert recognizability_bound(fib, "empirical_exact").Q == 31201
+    def test_closure_cap_boundary(self, monkeypatch):
+        # R = 88 and N = 4 count p(i) up to c = 354: at least 355 * 354 letters
+        trib = parse_morphism("a -> a b\nb -> a c\nc -> a")  # nothing counted yet
+        monkeypatch.setattr(language, "CLOSURE_MAX_LETTERS", 355 * 354 - 1)
+        with pytest.raises(CapExceeded, match="language closure at length 354 holds at least 125670"):
+            recognizability_bound(trib, "empirical_exact")
+        assert recognizability_bound(trib, "certified").R == 5431685086252  # no closure
+        monkeypatch.setattr(language, "CLOSURE_MAX_LETTERS", 355 * 354)
+        assert recognizability_bound(trib, "empirical_exact").Q == 22220758
 
     def test_exact_and_log_agree(self, fib):
         b = recognizability_bound(fib, "empirical_exact")
