@@ -73,8 +73,8 @@ def _log10_json(x: float | Decimal) -> float | str:
     return float(f"{x:.12g}")
 
 
-def _fmt_big_human(x: int) -> str:
-    s = big_str(x)
+def _fmt_big_human(s: str) -> str:
+    """A decimal string, shortened for humans past FULL_PRINT_DIGITS."""
     if len(s) <= FULL_PRINT_DIGITS:
         return s
     return f"<{len(s)} digits, leading {s[:12]}...>"
@@ -82,7 +82,7 @@ def _fmt_big_human(x: int) -> str:
 
 def _shorten_digits(expr: str) -> str:
     """expr with every digit run past FULL_PRINT_DIGITS shortened for humans."""
-    return re.sub(rf"\d{{{FULL_PRINT_DIGITS + 1},}}", lambda run: _fmt_big_human(int(run[0])), expr)
+    return re.sub(rf"\d{{{FULL_PRINT_DIGITS + 1},}}", lambda run: _fmt_big_human(run[0]), expr)
 
 
 def _big_value_json(v: BigValue):
@@ -153,7 +153,7 @@ def _human_report(report: dict) -> str:
         value = report["constants"].get(key)
         if value is None:
             continue
-        shown = _fmt_big_human(int(value)) if isinstance(value, str) and value.isdigit() else value
+        shown = _fmt_big_human(value) if isinstance(value, str) and value.isdigit() else value
         lines.append(f"  {key:<18} {shown}")
     lines.append(f"complexity p(1..)    {' '.join(str(p) for p in report['complexity'])}")
     delay = report["delay"]
@@ -175,7 +175,7 @@ def _human_report(report: dict) -> str:
             value = payload.get("bound", payload.get("value"))
             expr = _shorten_digits(value["expr"]) if isinstance(value, dict) else ""
             shown = (
-                _fmt_big_human(int(value))
+                _fmt_big_human(value)
                 if isinstance(value, str)
                 else f"~10^{payload['log10']} ({expr})"
             )
@@ -381,12 +381,12 @@ def _cmd_bound(args, out) -> int:
         print(emit_report({"maindetail": _breakdown_json(b)}, as_json=True), file=out)
     else:
         print(
-            f"mode={b.mode} N={_fmt_big_human(b.N)} k={_fmt_big_human(b.k)} d={b.d} "
-            f"R={_fmt_big_human(b.R)} Q={_fmt_big_human(b.Q)}",
+            f"mode={b.mode} N={_fmt_big_human(big_str(b.N))} k={_fmt_big_human(big_str(b.k))}"
+            f" d={b.d} R={_fmt_big_human(big_str(b.R))} Q={_fmt_big_human(big_str(b.Q))}",
             file=out,
         )
         if b.bound.exact is not None:
-            print(f"bound = {_fmt_big_human(b.bound.exact)}", file=out)
+            print(f"bound = {_fmt_big_human(big_str(b.bound.exact))}", file=out)
         else:
             print(f"bound ~ 10^{_log10_json(b.bound.log10)} ({_shorten_digits(b.bound.expr)})", file=out)
         for w in b.warnings:

@@ -1,9 +1,9 @@
 """Factor language of a primitive substitution and derived statistics.
 
 The factor sets are exact: they are computed as the least fixed point of
-a monotone closure map (seeded from the image of one letter; for a
-primitive morphism any nonempty seed closes to the whole slice), not by
-scanning a finite window and hoping it was long enough.  Long complexity
+a monotone closure map (seeded from one window of the fixed-point ray;
+for a primitive morphism any nonempty seed closes to the whole slice), not
+by scanning a finite window and hoping it was long enough.  Long complexity
 counts store no slice at all: they stream L_n in sorted order from the
 sigma^j-images of a base slice (see FactorLanguage).  Fixed-point
 prefixes are scanned only for screens and lower bounds, each reported as
@@ -60,8 +60,8 @@ class FactorLanguage:
     morphism.
 
     Slices are built by one closure at a single target length c.  It
-    starts from the length-c windows of a long enough image of one letter,
-    and each round expands only the words the previous round added: from
+    starts from one word, the length-c prefix of the fixed-point ray, and
+    each round expands only the words the previous round added: from
     sigma(w) it keeps the length-c windows that start inside sigma(w[0]),
     at offsets o < |sigma(w[0])|.  sigma is applied to the prefix w[:t]
     alone, t = base_length(c, <sigma>), which covers every such window.
@@ -114,27 +114,6 @@ class FactorLanguage:
         self._closed_at = 0  # length of the longest stored slice
         self._counts = [1]  # p(k) for k < len(_counts)
 
-    def _closure(self, c: int) -> frozenset[Word]:
-        m = self.morphism
-        if m.widest == 1:
-            return frozenset({chr(0) * c})  # one-letter identity morphism
-        seed = chr(0)
-        while len(seed) < c:
-            seed = m.apply(seed)
-        images, t = m.images, base_length(c, m.narrowest)
-        # Every window of the seed, though one would be exact too: a slice
-        # too large for memory then fails here, not after many rounds.
-        frontier = {seed[i : i + c] for i in range(len(seed) - c + 1)}
-        closed = set(frontier)
-        while frontier:
-            fresh = set()
-            for word in frontier:
-                image = m.apply(word[:t])
-                fresh.update(image[o : o + c] for o in range(len(images[ord(word[0])])))
-            frontier = fresh - closed
-            closed |= frontier
-        return frozenset(closed)
-
     def _price(self, n: int):
         """Refuse L_n past the letter cap (see the class docstring)."""
         letters = (n + 1) * n
@@ -145,9 +124,21 @@ class FactorLanguage:
             )
 
     def _close(self, n: int) -> frozenset[Word]:
-        """Close and store L_n; count p(k) from it past the counts held."""
+        """Close and store L_n from one window of the ray (see above);
+        count p(k) from it past the counts held."""
         self._price(n)
-        words = self._slices[n] = self._closure(n)
+        m = self.morphism
+        images, t = m.images, base_length(n, m.narrowest)
+        frontier = {fixed_point_prefix(m, n)}
+        closed = set(frontier)
+        while frontier:
+            fresh = set()
+            for word in frontier:
+                image = m.apply(word[:t])
+                fresh.update(image[o : o + n] for o in range(len(images[ord(word[0])])))
+            frontier = fresh - closed
+            closed |= frontier
+        words = self._slices[n] = frozenset(closed)
         self._closed_at = n
         if n >= len(self._counts):
             self._counts = _prefix_counts(sorted(words), n)
@@ -266,14 +257,17 @@ def fixed_point_prefix(m: Morphism, length: int) -> Word:
     if m.widest == 1:
         return chr(0) * length
     letter, e = right_prolongable_letter(m)
-    # The longest prefix built so far, sigma^(e*i)(letter) for some i, is
-    # kept on the morphism: each sigma^e step extends it as a prefix.
+    # The longest prefix built so far is kept on the morphism with its
+    # preimage length done, word == sigma^e(word[:done]) (done == 0: the bare
+    # letter), so each sigma^e step translates only word[done:].
     key = (fixed_point_prefix, "ray")
-    word = m._memo.get(key, letter)
+    word, done = m._memo.get(key, (letter, 0))
     while len(word) < length:
+        tail = word[done:]
         for _ in range(e):
-            word = m.apply(word)
-    m._memo[key] = word
+            tail = m.apply(tail)
+        word, done = (word if done else "") + tail, len(word)
+    m._memo[key] = word, done
     return word[:length]
 
 

@@ -478,8 +478,6 @@ def closed_form_bound(m: Morphism, injective_hint: bool = False) -> ClosedFormBo
     exponent = 6 * size * size + factor * tower
     addend_power = 1 if injective_hint else size
     expr = f"2*{base}^{exponent if digits10(exponent) <= 40 else '<exponent>'} + {base}^{addend_power}"
-    if base == 1:
-        return ClosedFormBound(base, exponent, addend_power, BigValue.from_int(3, expr))
     log10_value = log10_line(int_log10(2), exponent, int_log10(base))
     if log10_value + 1 <= DEFAULT_EXACT_CAP:
         value = 2 * base**exponent + base**addend_power

@@ -371,6 +371,19 @@ class TestClosureCap:
             " 900030000 letters, past the cap 100000000\n"
         )
 
+    def test_periodic_long_slice_runs(self, morph_file):
+        """A periodic fixed point is not priced: p(n) is its period.  The
+        closure starts from one length-n window of the ray, so L_1000000
+        of a -> a b, b -> a b costs a few million letters."""
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from subrec.cli import main; sys.exit(main())",
+             "language", morph_file("per.morph", PER_TEXT), "--n", "1000000"],
+            env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src")),
+            capture_output=True, text=True, timeout=10,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.split("\n", 1)[0] == "p(1000000) = 2"
+
     def test_analyze_omits_maindetail(self, morph_file):
         code, out, _ = invoke(["analyze", morph_file("r4.morph", ROADMAP4_TEXT), "--json"])
         assert code == 0

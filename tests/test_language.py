@@ -19,7 +19,6 @@ from subrec.language import (
     FactorLanguage,
     _longest_return,
     _max_power_exponent,
-    _prefix_counts,
 )
 from subrec.morphism import parse_morphism
 
@@ -106,7 +105,7 @@ class TestFactorLanguage:
         for rules, m in cases:
             reference = [m.encode(w) for w in closure_reference(rules, 150)]
             counts = [len({w[:k] for w in reference}) for k in range(151)]
-            assert _prefix_counts(sorted(FactorLanguage(m)._closure(150)), 150) == counts
+            assert FactorLanguage(m).ensure(150) == counts
             for base, buckets in ((8, 2), (8, 64), (12, 2), (12, 64)):
                 monkeypatch.setattr(language, "STREAM_BASE", base)
                 monkeypatch.setattr(language, "STREAM_BUCKETS", buckets)
@@ -347,8 +346,9 @@ class TestFixedPointPrefix:
 
     def test_kept_ray_serves_any_length(self):
         """The longest prefix built so far is kept on the morphism and
-        sliced: shorter and longer requests after it match the oracle."""
-        for _, rules in RULED:
+        sliced: shorter and longer requests after it match the oracle.  The
+        ray of a -> b a, b -> a b is fixed by sigma^2 only."""
+        for rules in [rules for _, rules in RULED] + [{"a": "ba", "b": "ab"}]:
             m = parsed(rules)
             for length in (500, 37, 3000, 1):
                 assert m.decode(fixed_point_prefix(m, length)) == prefix(rules, length)

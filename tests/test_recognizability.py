@@ -437,6 +437,11 @@ class TestClosedForm:
         cf = closed_form_bound(doubling)
         assert cf.exponent == 6 + 6 * 2**28
         assert cf.value.exact is None  # past the digit cap, logarithmic only
+        identity = parse_morphism("a -> a")  # |sigma| = 1: 2 + 1 on the general path
+        for hint in (False, True):
+            cf = closed_form_bound(identity, injective_hint=hint)
+            assert (cf.exponent, cf.value.exact, cf.value.expr) == (12, 3, "2*1^12 + 1^1")
+            assert math.isclose(cf.value.log10, math.log10(3))
 
 
 class TestKloudaMedkova:
