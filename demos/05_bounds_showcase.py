@@ -30,11 +30,11 @@ c = recognizability_bound(fib, "certified")
 print(f"\ncertified chain: N={c.N} k={c.k} R={c.R} Q ~ 10^{len(big_str(c.Q)) - 1}")
 print(f"bound ~ 10^{c.bound.log10:.4g}  ({c.bound.expr})")
 
-cf = closed_form_bound(fib)
-print(f"\nclosed form: base {cf.base}, exponent {big_str(cf.exponent)}")
-print(f"value ~ 10^{cf.value.log10:.6g}")
-cfi = closed_form_bound(fib, injective_hint=True)
-print(f"with injectivity hint the exponent drops to {big_str(cfi.exponent)}")
+exponent, value = closed_form_bound(fib)
+print(f"\nclosed form: base {fib.widest}, exponent {big_str(exponent)}")
+print(f"value ~ 10^{value.log10:.6g}")
+hinted, _ = closed_form_bound(fib, injective_hint=True)
+print(f"with injectivity hint the exponent drops to {big_str(hinted)}")
 
 print("\nuniform binary delay bounds:")
 for k in (2, 3, 4, 6):

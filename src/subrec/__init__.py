@@ -41,7 +41,6 @@ from .morphism import (
 from .recognizability import (
     BigValue,
     BoundBreakdown,
-    ClosedFormBound,
     Counterexample,
     Interpretation,
     SyncResult,
@@ -92,7 +91,6 @@ __all__ = [
     "Counterexample",
     "BigValue",
     "BoundBreakdown",
-    "ClosedFormBound",
     "injectivity_exponent",
     "interpretations",
     "synchronizing_point",

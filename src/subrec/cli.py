@@ -14,6 +14,7 @@ entry.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
@@ -91,9 +92,9 @@ def _big_value_json(v: BigValue):
     return {"expr": v.expr, "log10": _log10_json(v.log10)}
 
 
-def _breakdown_json(b: BoundBreakdown) -> dict:
+def _breakdown_json(b: BoundBreakdown, mode: str) -> dict:
     out = {
-        "mode": b.mode,
+        "mode": mode,
         "N": big_str(b.N),
         "k": big_str(b.k),
         "K": str(b.K),
@@ -261,7 +262,7 @@ def analyze(
 
     delay = synchronizing_delay(m, max_delay)
     report["delay"] = _delay_json(m, delay, max_delay)
-    if delay.screened_periodic:
+    if period is not None:
         warnings.append("delay search skipped: periodic fixed points are never circular")
     elif delay.delay is None:
         warnings.append(f"no synchronizing delay up to n={max_delay}")
@@ -291,16 +292,16 @@ def analyze(
         except CapExceeded as exc:
             warnings.append(f"bounds.maindetail omitted: {exc}")
         else:
-            bounds["maindetail"] = _breakdown_json(breakdown)
+            bounds["maindetail"] = _breakdown_json(breakdown, "empirical_exact")
         breakdown = recognizability_bound(m, "certified", safe_d=safe_d)
-        bounds["maindetail_certified"] = _breakdown_json(breakdown)
-        cf = closed_form_bound(m)
+        bounds["maindetail_certified"] = _breakdown_json(breakdown, "certified")
+        exponent, value = closed_form_bound(m)
         bounds["closed_form"] = {
-            "base": cf.base,
-            "exponent": big_str(cf.exponent),
-            "addend_power": cf.addend_power,
-            "value": _big_value_json(cf.value),
-            "log10": _log10_json(cf.value.log10),
+            "base": m.widest,
+            "exponent": big_str(exponent),
+            "addend_power": m.size,
+            "value": _big_value_json(value),
+            "log10": _log10_json(value.log10),
         }
         if m.size == 2 and len(set(len(im) for im in m.images)) == 1 and m.widest >= 2:
             bounds["klouda_medkova"] = klouda_medkova_bound(m.widest)
@@ -378,10 +379,10 @@ def _cmd_bound(args, out) -> int:
     mode = "empirical_exact" if args.mode == "empirical" else "certified"
     b = recognizability_bound(m, mode, safe_d=args.safe_d)
     if args.json:
-        print(emit_report({"maindetail": _breakdown_json(b)}, as_json=True), file=out)
+        print(emit_report({"maindetail": _breakdown_json(b, mode)}, as_json=True), file=out)
     else:
         print(
-            f"mode={b.mode} N={_fmt_big_human(big_str(b.N))} k={_fmt_big_human(big_str(b.k))}"
+            f"mode={mode} N={_fmt_big_human(big_str(b.N))} k={_fmt_big_human(big_str(b.k))}"
             f" d={b.d} R={_fmt_big_human(big_str(b.R))} Q={_fmt_big_human(big_str(b.Q))}",
             file=out,
         )
@@ -397,13 +398,14 @@ def _cmd_bound(args, out) -> int:
 def _cmd_delay(args, out) -> int:
     m = _load(args.file)
     result = synchronizing_delay(m, args.max)
+    periodic = aperiodicity_check(m) is not None
     if args.json:
-        payload = _delay_json(m, result, args.max) | {"screened_periodic": result.screened_periodic}
+        payload = _delay_json(m, result, args.max) | {"screened_periodic": periodic}
         print(emit_report(payload, as_json=True), file=out)
     elif result.delay is not None:
         print(f"C={result.delay} L_from_C={result.delay // 2}", file=out)
     else:
-        reason = "periodic fixed point" if result.screened_periodic else "not reached"
+        reason = "periodic fixed point" if periodic else "not reached"
         print(f"C=none up to n={args.max} ({reason})", file=out)
     return 0 if result.delay is not None else 1
 
@@ -420,13 +422,7 @@ def _cmd_verify(args, out) -> int:
     if args.json:
         payload = {"ok": result.ok, "L": args.L, "level": args.level, "radius": args.radius}
         if result.counterexample is not None:
-            ce = result.counterexample
-            payload["counterexample"] = {
-                "preimage_index": ce.preimage_index,
-                "cut_position": ce.cut_position,
-                "position": ce.position,
-                "kind": ce.kind,
-            }
+            payload["counterexample"] = dataclasses.asdict(result.counterexample)
         print(emit_report(payload, as_json=True), file=out)
     elif result.ok:
         print(f"ok: no counterexample for L={args.L} at level {args.level} (window-relative)", file=out)

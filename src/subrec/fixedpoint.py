@@ -51,11 +51,6 @@ class Window:
     def content(self) -> Word:
         return self.tower[0][0] + self.tower[0][1]
 
-    def preimage_pair(self, p: int) -> tuple[Word, Word]:
-        if not 0 <= p <= self.max_level:
-            raise InputError(f"level {p} unavailable (tower holds 0..{self.max_level})")
-        return self.tower[p]
-
 
 def _validate_seed(m: Morphism, seed: FixedPointSeed):
     if seed.power < 1:
@@ -113,7 +108,9 @@ def cutting_points(window: Window, p: int) -> dict[int, tuple[int, str]]:
     """All level-p cuts in [lo, hi), read off the stored tower: each cut
     position, ascending, mapped to (its image index, the junction cut at
     position 0 being index 0; its preimage letter)."""
-    left, right = window.preimage_pair(p)
+    if not 0 <= p <= window.max_level:
+        raise InputError(f"level {p} unavailable (tower holds 0..{window.max_level})")
+    left, right = window.tower[p]
     lengths = image_lengths(window.morphism, p)
     cuts: dict[int, tuple[int, str]] = {}
     pos = -sum(lengths[ord(c)] for c in left)

@@ -4,10 +4,10 @@ The factor sets are exact: they are computed as the least fixed point of
 a monotone closure map (seeded from one window of the fixed-point ray;
 for a primitive morphism any nonempty seed closes to the whole slice), not
 by scanning a finite window and hoping it was long enough.  Long complexity
-counts store no slice at all: they stream L_n in sorted order from the
-sigma^j-images of a base slice (see FactorLanguage).  Fixed-point
-prefixes are scanned only for screens and lower bounds, each reported as
-such.  The aperiodicity screen returns the period it finds or None, and
+counts store no slice at all: they repeat the screen's period or stream
+L_n in sorted order from the sigma^j-images of a base slice (see
+FactorLanguage).  Fixed-point prefixes are scanned only for screens and
+lower bounds, each reported as such.  The aperiodicity screen returns the period it finds or None, and
 require_aperiodic refuses a periodic fixed point; power_free_index
 returns k, or refuses with CapExceeded when the scan cannot pin it;
 recurrence_constant_empirical returns the recurrence ratio K_emp, a
@@ -74,12 +74,14 @@ class FactorLanguage:
       sigma^(k-1)(y), ..., y gives a chain of length-c factors from w_s
       to u in which every step is a first-image window.
 
-    Shorter slices are prefix sets of the closed slice.  Their sizes come
-    in one pass: in sorted order two neighbours have different length-k
-    prefixes iff their longest common prefix is shorter than k, so
-    p(k) = 1 + #{neighbour pairs with LCP < k} for every k up to c.
+    Shorter slices are prefix sets of the longest closed slice.  slice
+    builds words; ensure counts them.  Up to STREAM_BASE, ensure(n) counts
+    L_n in one pass: in sorted order two neighbours have different
+    length-k prefixes iff their longest common prefix is shorter than k,
+    so p(k) = 1 + #{neighbour pairs with LCP < k} for every k up to n.
 
-    Up to STREAM_BASE, ensure(n) closes and stores L_n.  Past it, the
+    Past STREAM_BASE, a period P found by the screen gives p(k) = P from
+    DEFAULT_APERIODICITY_N on (see aperiodicity_check).  Otherwise the
     count reads L_n in sorted order from a stream and stores no length-n
     slice.  Take the least j >= 1 with t = base_length(n, <sigma^j>) <=
     STREAM_BASE.  Then L_n is exactly the set of length-n windows of
@@ -111,7 +113,6 @@ class FactorLanguage:
         require_primitive(m)
         self.morphism = m
         self._slices: dict[int, frozenset[Word]] = {}
-        self._closed_at = 0  # length of the longest stored slice
         self._counts = [1]  # p(k) for k < len(_counts)
 
     def _price(self, n: int):
@@ -124,8 +125,7 @@ class FactorLanguage:
             )
 
     def _close(self, n: int) -> frozenset[Word]:
-        """Close and store L_n from one window of the ray (see above);
-        count p(k) from it past the counts held."""
+        """Close and store L_n from one window of the ray (see above)."""
         self._price(n)
         m = self.morphism
         images, t = m.images, base_length(n, m.narrowest)
@@ -139,9 +139,6 @@ class FactorLanguage:
             frontier = fresh - closed
             closed |= frontier
         words = self._slices[n] = frozenset(closed)
-        self._closed_at = n
-        if n >= len(self._counts):
-            self._counts = _prefix_counts(sorted(words), n)
         return words
 
     def _sorted_windows(self, n: int) -> Iterator[Word]:
@@ -152,7 +149,7 @@ class FactorLanguage:
         while (t := base_length(n, min(map(len, images)))) > STREAM_BASE:
             images = tuple(m.apply(w) for w in images)
         base = self.slice(t)
-        counts = self._counts
+        counts = self.ensure(t)
         ell = next((k for k, p in enumerate(counts) if p >= STREAM_BUCKETS), len(counts) - 1)
         buckets: dict[Word, list[tuple[Word, int]]] = {}
         for v in base:
@@ -164,13 +161,16 @@ class FactorLanguage:
             yield from sorted({text[o : o + n] for text, o in buckets.pop(key)})
 
     def ensure(self, n: int) -> list[int]:
-        """[p(0), ..., p(n)], held for later calls: counted from L_n, closed
-        up to STREAM_BASE, priced and streamed past it (see above)."""
+        """[p(0), ..., p(n)], held for later calls: counted from the slice
+        L_n up to STREAM_BASE, from the screen's period or priced and
+        streamed past it (see above)."""
         if n < 0:
             raise InputError("factor length must be >= 0")
         if n >= len(self._counts):
             if n <= STREAM_BASE or self.morphism.widest == 1:
-                self._close(n)
+                self._counts = _prefix_counts(sorted(self.slice(n)), n)
+            elif n > DEFAULT_APERIODICITY_N and (period := aperiodicity_check(self.morphism)):
+                self._counts = self.ensure(DEFAULT_APERIODICITY_N) + [period] * (n - DEFAULT_APERIODICITY_N)
             else:
                 self._price(n)
                 self._counts = _prefix_counts(self._sorted_windows(n), n)
@@ -186,9 +186,10 @@ class FactorLanguage:
         cached = self._slices.get(n)
         if cached is not None:
             return cached
-        if n > self._closed_at:
+        longest = max(self._slices, default=0)
+        if n > longest:
             return self._close(n)
-        words = self._slices[n] = frozenset({w[:n] for w in self._slices[self._closed_at]})
+        words = self._slices[n] = frozenset({w[:n] for w in self._slices[longest]})
         return words
 
     def __contains__(self, word: Word) -> bool:

@@ -208,7 +208,6 @@ def parse_morphism(text: str) -> Morphism:
     """
     order: list[str] = []
     raw_rules: dict[str, list[str]] = {}
-    positions: dict[str, tuple[int, int]] = {}
     image_tokens: list[tuple[str, int, int]] = []
 
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -233,7 +232,6 @@ def parse_morphism(text: str) -> Morphism:
             image_tokens.append((token, line_no, col))
         order.append(lhs)
         raw_rules[lhs] = [t for t, _ in rhs]
-        positions[lhs] = (line_no, lhs_col)
 
     if not order:
         raise MorphismSyntaxError("no rules found", 1, 1)

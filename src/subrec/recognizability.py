@@ -121,15 +121,13 @@ class SyncResult:
     """Outcome of the delay search.
 
     delay is the first length at which every factor has a synchronizing
-    point (None if not reached by the search's n_max); per_length records
-    the unsynchronized words for each tested length.  screened_periodic
-    marks inputs rejected by the aperiodicity screening, for which no
-    finite delay is reported.
+    point (None if not reached by the search's n_max, or when the
+    aperiodicity screen finds a period); per_length records the
+    unsynchronized words for each tested length.
     """
 
     delay: int | None
     per_length: tuple[tuple[int, tuple[Word, ...]], ...]
-    screened_periodic: bool = False
 
 
 def _first_images(m: Morphism, n: int) -> Iterator[tuple[Word, Word, list[int]]]:
@@ -187,7 +185,7 @@ def synchronizing_delay(m: Morphism, n_max: int) -> SyncResult:
     if n_max < 1:
         raise InputError("n_max must be >= 1")
     if aperiodicity_check(m) is not None:
-        return SyncResult(None, (), screened_periodic=True)
+        return SyncResult(None, ())
     per_length: list[tuple[int, tuple[Word, ...]]] = []
     for n in range(1, n_max + 1):
         common: dict[Word, set[int]] = {}
@@ -326,7 +324,6 @@ class BigValue:
 
 @dataclass(frozen=True)
 class BoundBreakdown:
-    mode: Literal["empirical_exact", "certified"]
     N: int
     k: int
     K: Fraction | int
@@ -450,26 +447,15 @@ def recognizability_bound(
             "bound exceeds the exact digit cap; logarithmic form uses measured growth"
         )
 
-    return BoundBreakdown(
-        mode, n_value, k, k_ratio, d, r_value, q_value, m_value, bound, tuple(warnings)
-    )
+    return BoundBreakdown(n_value, k, k_ratio, d, r_value, q_value, m_value, bound, tuple(warnings))
 
 
-@dataclass(frozen=True)
-class ClosedFormBound:
-    """2 |sigma|^exponent + |sigma|^addend_power, with the exponent always
-    exact and the value materialized only under the digit cap."""
-
-    base: int
-    exponent: int
-    addend_power: int
-    value: BigValue
-
-
-def closed_form_bound(m: Morphism, injective_hint: bool = False) -> ClosedFormBound:
-    """Alphabet-and-width-only bound 2|sigma|^(6(#A)^2 + 6(#A)|sigma|^(28(#A)^2))
-    + |sigma|^(#A); with the injectivity hint the inner factor #A and the
-    addend power drop to 1."""
+def closed_form_bound(m: Morphism, injective_hint: bool = False) -> tuple[int, BigValue]:
+    """(exponent, value) of the alphabet-and-width-only bound
+    2|sigma|^exponent + |sigma|^(#A), exponent = 6(#A)^2 + 6(#A)|sigma|^(28(#A)^2);
+    with the injectivity hint the inner factor #A and the addend power drop
+    to 1.  The exponent is always exact, the value materialized only under
+    the digit cap."""
     require_primitive(m)
     base = m.widest
     size = m.size
@@ -480,9 +466,8 @@ def closed_form_bound(m: Morphism, injective_hint: bool = False) -> ClosedFormBo
     expr = f"2*{base}^{exponent if digits10(exponent) <= 40 else '<exponent>'} + {base}^{addend_power}"
     log10_value = log10_line(int_log10(2), exponent, int_log10(base))
     if log10_value + 1 <= DEFAULT_EXACT_CAP:
-        value = 2 * base**exponent + base**addend_power
-        return ClosedFormBound(base, exponent, addend_power, BigValue.from_int(value, expr))
-    return ClosedFormBound(base, exponent, addend_power, BigValue(expr, log10_value))
+        return exponent, BigValue.from_int(2 * base**exponent + base**addend_power, expr)
+    return exponent, BigValue(expr, log10_value)
 
 
 def _least_divisor(k: int) -> int:

@@ -145,13 +145,13 @@ def test_06_fibonacci_bound_chain():
 
 def test_07_closed_form_exponent():
     with Budget("7 closed-form-exponent", 1):
-        cf = closed_form_bound(zoo.FIBONACCI)
+        exponent, value = closed_form_bound(zoo.FIBONACCI)
         piece = 1
         for _ in range(112):
             piece *= 2
-        assert cf.exponent == 24 + 12 * piece
-        assert digits10(cf.exponent) == 35
-        assert abs(cf.value.log10 - 1.8756e34) / 1.8756e34 < 1e-3
+        assert exponent == 24 + 12 * piece
+        assert digits10(exponent) == 35
+        assert abs(value.log10 - 1.8756e34) / 1.8756e34 < 1e-3
 
 
 def test_08_structural_invariants_suite():
@@ -221,7 +221,7 @@ def test_09_negative_controls():
         for L in range(0, 33):
             assert not verify_constant(window, L, 1).ok
         result = synchronizing_delay(per, 16)
-        assert result.delay is None and result.screened_periodic
+        assert result.delay is None and result.per_length == ()
 
 
 def test_10_power_scaling_check():

@@ -10,12 +10,15 @@ from pathlib import Path
 
 import pytest
 
-from subrec.cli import DEFAULT_MAX_LETTERS, analyze, emit_report, run
+from subrec.cli import DEFAULT_MAX_LETTERS, DEFAULT_RADIUS, analyze, emit_report, run
 from subrec import (
+    admissible_seeds,
+    build_window,
     parse_morphism,
     recognizability,
     recognizability_bound,
     recurrence_constant_empirical,
+    verify_constant,
     zoo,
 )
 from subrec.errors import InputError
@@ -168,6 +171,25 @@ class TestSubcommands:
         data = json.loads(out)
         assert data["ok"] is False
         assert data["counterexample"]["kind"] in {"not_a_cut", "preimage_mismatch"}
+
+    def test_verify_json_counterexample_fields(self, morph_file):
+        """verify --json writes every Counterexample field of the library's
+        verdict on the same window, and nothing else."""
+        code, out, _ = invoke(
+            ["verify", morph_file("per.morph", PER_TEXT), "--L", "2", "--json"]
+        )
+        m = parse_morphism(PER_TEXT)
+        window = build_window(
+            m, admissible_seeds(m)[0], DEFAULT_RADIUS, min_level=1, max_letters=DEFAULT_MAX_LETTERS
+        )
+        ce = verify_constant(window, 2, 1).counterexample
+        assert code == 1
+        assert json.loads(out)["counterexample"] == {
+            "preimage_index": ce.preimage_index,
+            "cut_position": ce.cut_position,
+            "position": ce.position,
+            "kind": ce.kind,
+        }
 
     def test_delay_json(self, morph_file):
         code, out, _ = invoke(

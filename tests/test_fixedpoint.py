@@ -76,7 +76,7 @@ class TestBuildWindow:
         for m, _ in RULED:
             w = window_of(m, radius=60)
             e = w.seed.power
-            left, right = w.preimage_pair(e)
+            left, right = w.tower[e]
             grown_left, grown_right = left, right
             for _ in range(e):
                 grown_left = m.apply(grown_left)

@@ -117,6 +117,13 @@ class TestFactorLanguage:
                         assert lang.slice(k) == {w[:k] for w in reference}
                         assert lang.ensure(k)[k] == counts[k]
 
+    def test_slice_counts_nothing(self):
+        """slice builds words and ensure counts them: a slice alone leaves
+        the counts at p(0)."""
+        lang = FactorLanguage(zoo.FIBONACCI)
+        assert len(lang.slice(300)) == 301
+        assert len(lang._counts) == 1
+
     def test_extension_closure(self):
         for m in ZOO:
             for n in range(1, 13):

@@ -24,7 +24,7 @@ from subrec import (
     verify_constant,
 )
 from subrec import language, power_free_index, recurrence_constant_empirical, zoo
-from subrec.cli import _delay_json
+from subrec.cli import _breakdown_json, _delay_json
 from subrec.errors import CapExceeded, InputError, NotAperiodicError
 from subrec.morphism import parse_morphism
 from subrec.recognizability import _kernel_partition
@@ -183,7 +183,7 @@ class TestFirstImagePass:
                 assert points == sync_points_reference(interps, n, False)
         result = synchronizing_delay(m, 16)
         delay, per_length, periodic = delay_reference(rules, 16, False, factors)
-        assert result.screened_periodic == periodic
+        assert (result.per_length == ()) == periodic
         assert result.delay == delay
         reported = _delay_json(m, result, 16)
         assert reported["L_from_C"] == (None if delay is None else delay // 2)
@@ -224,7 +224,7 @@ class TestSynchronizingDelay:
     def test_periodic_none(self, per):
         result = synchronizing_delay(per, 16)
         assert result.delay is None
-        assert result.screened_periodic
+        assert result.per_length == ()
         assert _delay_json(per, result, 16)["n_max"] == 16
 
     def test_monotone_in_length(self):
@@ -352,7 +352,7 @@ class TestRecognizabilityBound:
     def test_fib_empirical_chain(self, fib):
         b = recognizability_bound(fib, "empirical_exact")
         assert (b.N, b.k, b.d, b.R, b.Q) == (2, 4, 1, 24, 31201)
-        assert b.mode == "empirical_exact"
+        assert _breakdown_json(b, "empirical_exact")["mode"] == "empirical_exact"
         # independent big-integer oracle: bound = 24 * F(31203) + 2
         x, y = 0, 1
         for _ in range(31203):
@@ -388,8 +388,8 @@ class TestRecognizabilityBound:
     def test_closed_form_dominates_certified(self):
         for m, _ in RULED:
             certified = recognizability_bound(m, "certified")
-            closed = closed_form_bound(m)
-            assert closed.value.log10 >= certified.bound.log10
+            _, closed = closed_form_bound(m)
+            assert closed.log10 >= certified.bound.log10
 
     def test_delay_constant_band(self):
         for m, _ in RULED:
@@ -417,31 +417,31 @@ class TestRecognizabilityBound:
 
 class TestClosedForm:
     def test_fib_exponent(self, fib):
-        cf = closed_form_bound(fib)
+        exponent, value = closed_form_bound(fib)
         expected = 24
         piece = 2
         for _ in range(111):
             piece *= 2
         expected += 12 * piece
-        assert cf.exponent == expected
-        assert len(str(cf.exponent)) == 35
-        assert abs(cf.value.log10 - 1.8756e34) / 1.8756e34 < 1e-3
+        assert exponent == expected
+        assert len(str(exponent)) == 35
+        assert abs(value.log10 - 1.8756e34) / 1.8756e34 < 1e-3
 
     def test_injective_variant(self, fib):
-        cf = closed_form_bound(fib, injective_hint=True)
-        assert cf.exponent == 24 + 6 * 2**112
-        assert cf.addend_power == 1
+        exponent, value = closed_form_bound(fib, injective_hint=True)
+        assert exponent == 24 + 6 * 2**112
+        assert value.expr.endswith(" + 2^1")
 
     def test_single_letter_formula_valid(self):
         doubling = parse_morphism("a -> a a")
-        cf = closed_form_bound(doubling)
-        assert cf.exponent == 6 + 6 * 2**28
-        assert cf.value.exact is None  # past the digit cap, logarithmic only
+        exponent, value = closed_form_bound(doubling)
+        assert exponent == 6 + 6 * 2**28
+        assert value.exact is None  # past the digit cap, logarithmic only
         identity = parse_morphism("a -> a")  # |sigma| = 1: 2 + 1 on the general path
         for hint in (False, True):
-            cf = closed_form_bound(identity, injective_hint=hint)
-            assert (cf.exponent, cf.value.exact, cf.value.expr) == (12, 3, "2*1^12 + 1^1")
-            assert math.isclose(cf.value.log10, math.log10(3))
+            exponent, value = closed_form_bound(identity, injective_hint=hint)
+            assert (exponent, value.exact, value.expr) == (12, 3, "2*1^12 + 1^1")
+            assert math.isclose(value.log10, math.log10(3))
 
 
 class TestKloudaMedkova:
