@@ -4,10 +4,10 @@ The factor sets are exact: they are computed as the least fixed point of
 a monotone closure map (seeded from one window of the fixed-point ray;
 for a primitive morphism any nonempty seed closes to the whole slice), not
 by scanning a finite window and hoping it was long enough.  Long complexity
-counts store no slice at all: they repeat the screen's period or stream
-L_n in sorted order from the sigma^j-images of a base slice (see
-FactorLanguage).  Fixed-point prefixes are scanned only for screens and
-lower bounds, each reported as such.  The aperiodicity screen returns the period it finds or None, and
+counts store no slice at all: they stream L_n in sorted order from the
+sigma^j-images of a base slice (see FactorLanguage).  Fixed-point
+prefixes are scanned only for screens and lower bounds, each reported as
+such.  The aperiodicity screen returns the period it finds or None, and
 require_aperiodic refuses a periodic fixed point; power_free_index
 returns k, or refuses with CapExceeded when the scan cannot pin it;
 recurrence_constant_empirical returns the recurrence ratio K_emp, a
@@ -80,11 +80,9 @@ class FactorLanguage:
     length-k prefixes iff their longest common prefix is shorter than k,
     so p(k) = 1 + #{neighbour pairs with LCP < k} for every k up to n.
 
-    Past STREAM_BASE, a period P found by the screen gives p(k) = P from
-    DEFAULT_APERIODICITY_N on (see aperiodicity_check).  Otherwise the
-    count reads L_n in sorted order from a stream and stores no length-n
-    slice.  Take the least j >= 1 with t = base_length(n, <sigma^j>) <=
-    STREAM_BASE.  Then L_n is exactly the set of length-n windows of
+    Past STREAM_BASE, the count reads L_n in sorted order from a stream
+    and stores no length-n slice.  Take the least j >= 1 with
+    t = base_length(n, <sigma^j>) <= STREAM_BASE.  Then L_n is exactly the set of length-n windows of
     sigma^j(v) that start inside sigma^j(v[0]), for v in L_t:
 
     - sound: sigma^j(v) is a factor, so each of its windows is one;
@@ -162,15 +160,12 @@ class FactorLanguage:
 
     def ensure(self, n: int) -> list[int]:
         """[p(0), ..., p(n)], held for later calls: counted from the slice
-        L_n up to STREAM_BASE, from the screen's period or priced and
-        streamed past it (see above)."""
+        L_n up to STREAM_BASE, priced and streamed past it (see above)."""
         if n < 0:
             raise InputError("factor length must be >= 0")
         if n >= len(self._counts):
             if n <= STREAM_BASE or self.morphism.widest == 1:
                 self._counts = _prefix_counts(sorted(self.slice(n)), n)
-            elif n > DEFAULT_APERIODICITY_N and (period := aperiodicity_check(self.morphism)):
-                self._counts = self.ensure(DEFAULT_APERIODICITY_N) + [period] * (n - DEFAULT_APERIODICITY_N)
             else:
                 self._price(n)
                 self._counts = _prefix_counts(self._sorted_windows(n), n)

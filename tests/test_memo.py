@@ -33,7 +33,6 @@ AAB_TEXT = "a -> a a b\nb -> b c a\nc -> c a b"
 LONG_A_TEXT = "a -> " + "a " * 65 + "b\nb -> a"  # power-free index past DEFAULT_MAX_K
 # N = 11, R = 627: the empirical bound counts p(i) up to 6899
 STREAM_TEXT = "f -> u u\np -> f u x\nu -> u x\nx -> x p"
-PER_TEXT = "a -> a b\nb -> a b"  # zoo.PERIODIC, parsed afresh for a memo of its own
 
 
 def test_memo_outside_equality_hash_and_repr():
@@ -128,22 +127,6 @@ def test_bound_streams_the_counts_once(monkeypatch):
     m = parse_morphism(STREAM_TEXT)
     assert recognizability_bound(m, "empirical_exact").Q == 505597640176
     assert streams == [6899]
-
-
-def test_periodic_counts_come_from_the_period(monkeypatch):
-    """Past the screen, a periodic language repeats the period the screen
-    found: no stream of L_n is read."""
-    streams = []
-    sorted_windows = FactorLanguage._sorted_windows
-
-    def counted(lang, n):
-        streams.append(n)
-        return sorted_windows(lang, n)
-
-    monkeypatch.setattr(FactorLanguage, "_sorted_windows", counted)
-    counts = language_of(parse_morphism(PER_TEXT)).ensure(10**5)
-    assert streams == []
-    assert counts[0] == 1 and set(counts[1:]) == {2} and len(counts) == 10**5 + 1
 
 
 def test_negative_length_refused():

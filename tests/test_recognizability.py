@@ -24,7 +24,7 @@ from subrec import (
     verify_constant,
 )
 from subrec import language, power_free_index, recurrence_constant_empirical, zoo
-from subrec.cli import _breakdown_json, _delay_json
+from subrec.cli import _delay_json
 from subrec.errors import CapExceeded, InputError, NotAperiodicError
 from subrec.morphism import parse_morphism
 from subrec.recognizability import _kernel_partition
@@ -352,7 +352,6 @@ class TestRecognizabilityBound:
     def test_fib_empirical_chain(self, fib):
         b = recognizability_bound(fib, "empirical_exact")
         assert (b.N, b.k, b.d, b.R, b.Q) == (2, 4, 1, 24, 31201)
-        assert _breakdown_json(b, "empirical_exact")["mode"] == "empirical_exact"
         # independent big-integer oracle: bound = 24 * F(31203) + 2
         x, y = 0, 1
         for _ in range(31203):
