@@ -82,8 +82,9 @@ class FactorLanguage:
 
     Past STREAM_BASE, the count reads L_n in sorted order from a stream
     and stores no length-n slice.  Take the least j >= 1 with
-    t = base_length(n, <sigma^j>) <= STREAM_BASE.  Then L_n is exactly the set of length-n windows of
-    sigma^j(v) that start inside sigma^j(v[0]), for v in L_t:
+    t = base_length(n, <sigma^j>) <= STREAM_BASE.  Then L_n is exactly
+    the set of length-n windows of sigma^j(v) that start inside
+    sigma^j(v[0]), for v in L_t:
 
     - sound: sigma^j(v) is a factor, so each of its windows is one;
     - complete: every point x of the shift is S^o sigma^j(y) for a point
