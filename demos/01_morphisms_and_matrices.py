@@ -36,7 +36,7 @@ for n in (1, 4, 16, 64, 256):
 
 print("\nbuild_window() refuses blowups, predicting the length first:")
 try:
-    build_window(fib, admissible_seeds(fib)[0], 10**9, max_letters=10**6)
+    build_window(fib, admissible_seeds(fib)[0], 10**9)
 except CapExceeded as exc:
     print("  ", exc)
 

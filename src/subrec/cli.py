@@ -60,10 +60,6 @@ DEFAULT_RADIUS = 1000
 DEFAULT_MAX_DELAY = 24
 DEFAULT_N_REPORT = 16
 DEFAULT_L_MAX = 16
-# Window letters for verify and analyze.  verify --L 1 on Fibonacci peaks at
-# about 112 bytes a letter plus 30 MB (212 MB RSS at 1,664,080 letters), so
-# a window at the cap stays near 255 MB, far below a 1 GB address space.
-DEFAULT_MAX_LETTERS = 2_000_000
 FULL_PRINT_DIGITS = 80
 
 
@@ -270,9 +266,7 @@ def analyze(
     report["empirical"] = None
     if seeds:
         # Level 1 and one letter past |sigma| on each side: enough for L = 0.
-        window = build_window(
-            m, seeds[0], max(radius, m.widest + 1), min_level=1, max_letters=DEFAULT_MAX_LETTERS
-        )
+        window = build_window(m, seeds[0], max(radius, m.widest + 1), min_level=1)
         L, checked = minimal_constant_empirical(window, 1, DEFAULT_L_MAX)
         report["empirical"] = {
             "L_lower": L,
@@ -348,7 +342,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--level", type=int, default=1)
     p.add_argument("--radius", type=int, default=DEFAULT_RADIUS)
-    p.add_argument("--max-letters", type=int, default=DEFAULT_MAX_LETTERS, help="window size cap")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("language", help="factor set of one length")
@@ -358,7 +351,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("seeds", help="admissible fixed-point seeds")
     p.add_argument("file")
-    p.add_argument("--max-power", type=int, default=None)
     p.add_argument("--json", action="store_true")
     return parser
 
@@ -415,9 +407,7 @@ def _cmd_verify(args, out) -> int:
     seeds = admissible_seeds(m)
     if not seeds:
         raise InputError("no admissible seed; cannot build a window")
-    window = build_window(
-        m, seeds[0], args.radius, min_level=args.level, max_letters=args.max_letters
-    )
+    window = build_window(m, seeds[0], args.radius, min_level=args.level)
     result = verify_constant(window, args.L, args.level)
     if args.json:
         payload = {"ok": result.ok, "L": args.L, "level": args.level, "radius": args.radius}
@@ -448,7 +438,7 @@ def _cmd_language(args, out) -> int:
 
 def _cmd_seeds(args, out) -> int:
     m = _load(args.file)
-    payload = _seeds_json(m, admissible_seeds(m, args.max_power))
+    payload = _seeds_json(m, admissible_seeds(m))
     if args.json:
         print(emit_report(payload, as_json=True), file=out)
     elif payload["pairs"]:

@@ -21,6 +21,11 @@ from .errors import CapExceeded, InputError
 from .language import language_of
 from .morphism import FixedPointSeed, Morphism, Word, end_letters, image_lengths
 
+# Letters a window may hold.  verify --L 1 on Fibonacci peaks at about 112
+# bytes a letter plus 30 MB (212 MB RSS at 1,664,080 letters), so a window
+# at the cap stays near 255 MB, far below a 1 GB address space.
+WINDOW_MAX_LETTERS = 2_000_000
+
 
 @dataclass(frozen=True)
 class Window:
@@ -71,33 +76,26 @@ def _validate_seed(m: Morphism, seed: FixedPointSeed):
         raise InputError("seed pair is not admissible (not a factor)")
 
 
-def build_window(
-    m: Morphism,
-    seed: FixedPointSeed,
-    radius: int,
-    min_level: int = 0,
-    max_letters: int | None = None,
-) -> Window:
+def build_window(m: Morphism, seed: FixedPointSeed, radius: int, min_level: int = 0) -> Window:
     """Grow the window by repeated sigma^e application, keeping every
     intermediate preimage pair as the desubstitution tower.
 
     The result has lo <= -radius and hi >= radius, and its tower reaches
-    at least min_level sigma-steps.  Growth is predicted per step and
-    refused with CapExceeded once it would pass max_letters.
+    at least min_level sigma-steps.  Each step's length is read off the
+    matrix and refused with CapExceeded past WINDOW_MAX_LETTERS.
     """
     if radius < 1:
         raise InputError("radius must be >= 1")
     _validate_seed(m, seed)
-    lengths = image_lengths(m, 1)
+    a, b = ord(seed.left), ord(seed.right)
     pairs = [(seed.left, seed.right)]
     left, right = seed.left, seed.right
     while len(left) < radius or len(right) < radius or len(pairs) <= min_level:
         for _ in range(seed.power):
-            predicted = sum(lengths[ord(c)] for c in left) + sum(
-                lengths[ord(c)] for c in right
-            )
-            if max_letters is not None and predicted > max_letters:
-                raise CapExceeded(f"word of length {predicted} exceeds cap {max_letters}")
+            lengths = image_lengths(m, len(pairs))
+            predicted = lengths[a] + lengths[b]
+            if predicted > WINDOW_MAX_LETTERS:
+                raise CapExceeded(f"word of length {predicted} exceeds cap {WINDOW_MAX_LETTERS}")
             left = m.apply(left)
             right = m.apply(right)
             pairs.append((left, right))

@@ -102,10 +102,11 @@ class FactorLanguage:
     length-n words is alive at a time.
 
     A slice or count past STREAM_BASE reads every word of L_n: at least
-    (n + 1) n letters, since p(n) >= n + 1 when aperiodic (Morse-Hedlund).
-    Past CLOSURE_MAX_LETTERS it is refused with CapExceeded, unless the
-    screen found a period, which p(n) then equals.  Lengths up to
-    STREAM_BASE are not priced: the screen closes them itself.
+    (n + 1) n letters, since p(n) >= n + 1 when aperiodic (Morse-Hedlund),
+    or P n letters when the screen found a period P, which p(n) then
+    equals.  Past CLOSURE_MAX_LETTERS it is refused with CapExceeded.  The
+    screen is consulted only once (n + 1) n is past the cap, and lengths
+    up to STREAM_BASE are not priced: the screen closes them itself.
     """
 
     def __init__(self, m: Morphism):
@@ -116,8 +117,10 @@ class FactorLanguage:
 
     def _price(self, n: int):
         """Refuse L_n past the letter cap (see the class docstring)."""
-        letters = (n + 1) * n
-        if n > STREAM_BASE and letters > CLOSURE_MAX_LETTERS and not aperiodicity_check(self.morphism):
+        if n <= STREAM_BASE or (n + 1) * n <= CLOSURE_MAX_LETTERS:
+            return
+        letters = (aperiodicity_check(self.morphism) or n + 1) * n
+        if letters > CLOSURE_MAX_LETTERS:
             raise CapExceeded(
                 f"language closure at length {n} holds at least {letters} letters,"
                 f" past the cap {CLOSURE_MAX_LETTERS}"

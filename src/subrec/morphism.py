@@ -119,9 +119,9 @@ class Morphism:
     def decode(self, word: Word) -> str:
         """Render an index-encoded word with display tokens, separated by
         spaces when one of them is longer than a character."""
-        displays = [self.letters[ord(ch)] for ch in word]
-        sep = " " if any(len(d) > 1 for d in displays) else ""
-        return sep.join(displays)
+        if all(len(self.letters[ord(ch)]) == 1 for ch in set(word)):
+            return word.translate(self.letters)
+        return " ".join(self.letters[ord(ch)] for ch in word)
 
     def rules_text(self) -> str:
         lines = []
@@ -355,25 +355,21 @@ def default_seed_power_cap(m: Morphism) -> int:
     return max(2, 2 * m.size * m.size)
 
 
-def admissible_seeds(m: Morphism, max_power: int | None = None) -> list[FixedPointSeed]:
-    """All admissible seeds at the minimal power e <= max_power.
+def admissible_seeds(m: Morphism) -> list[FixedPointSeed]:
+    """All admissible seeds at the minimal power e <= default_seed_power_cap(m).
 
     A seed (e, a, b) needs sigma^e(a) to end with a, sigma^e(b) to start
     with b, and ab to occur in the language.  Returns [] when no power up
     to the cap works (callers should surface that as a warning).
     """
     require_primitive(m)
-    if max_power is None:
-        max_power = default_seed_power_cap(m)
-    if max_power < 1:
-        raise InputError("max_power must be >= 1")
     if m.widest == 1:
         return []  # single-letter identity: no growing fixed point
 
     from .language import factor_language  # deferred: language builds on this module
 
     pairs = factor_language(m, 2)
-    for e in range(1, max_power + 1):
+    for e in range(1, default_seed_power_cap(m) + 1):
         first_e, last_e = end_letters(m, e)
         lefts = [i for i in range(m.size) if last_e[i] == i]
         rights = [i for i in range(m.size) if first_e[i] == i]

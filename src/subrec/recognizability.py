@@ -145,11 +145,11 @@ def interpretations(m: Morphism, u: Word) -> tuple[Interpretation, ...]:
     is w[:j], j the first boundary at or past o + |u|, and the cuts are the
     boundaries in [o, o + |u|], minus o.  No core is missed: tightness
     gives |sigma(v[:-1])| < o + |u| <= |sigma(v[0])| + |u| - 1, so |v| <= t.
+    The pass also decides membership: every factor occurs there (see
+    FactorLanguage), so u is a factor iff some interpretation is found.
     """
     if not u:
         raise InputError("u must be non-empty")
-    if u not in language_of(m):
-        raise InputError(f"{m.decode(u)!r} is not a factor")
     found: dict[tuple[Word, int], Interpretation] = {}
     for w, image, bounds in _first_images(m, len(u)):
         o = image.find(u)
@@ -159,6 +159,8 @@ def interpretations(m: Morphism, u: Word) -> tuple[Interpretation, ...]:
             cuts = tuple(b - o for b in bounds[: j + 1] if o <= b <= end)
             found[w[:j], o] = Interpretation(image[:o], w[:j], image[end : bounds[j]], cuts)
             o = image.find(u, o + 1)
+    if not found:
+        raise InputError(f"{m.decode(u)!r} is not a factor")
     return tuple(found[key] for key in sorted(found))
 
 

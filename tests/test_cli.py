@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from subrec.cli import DEFAULT_MAX_LETTERS, DEFAULT_RADIUS, analyze, emit_report, run
+from subrec.cli import DEFAULT_RADIUS, analyze, emit_report, run
+from subrec.fixedpoint import WINDOW_MAX_LETTERS
 from subrec import (
     admissible_seeds,
     build_window,
@@ -90,14 +91,6 @@ class TestExitCodes:
         code, _, err = invoke(["analyze", morph_file("bad.morph", "a -> a c\n")])
         assert code == 2
         assert "no rule" in err
-
-    def test_cap_exceeded(self, morph_file):
-        path = morph_file("fib.morph", FIB_TEXT)
-        code, _, err = invoke(
-            ["verify", path, "--L", "1", "--radius", "100000", "--max-letters", "1000"]
-        )
-        assert code == 3
-        assert "cap" in err
 
     def test_bad_usage(self, morph_file):
         code, _, _ = invoke(["bound", morph_file("fib.morph", FIB_TEXT)])
@@ -179,9 +172,7 @@ class TestSubcommands:
             ["verify", morph_file("per.morph", PER_TEXT), "--L", "2", "--json"]
         )
         m = parse_morphism(PER_TEXT)
-        window = build_window(
-            m, admissible_seeds(m)[0], DEFAULT_RADIUS, min_level=1, max_letters=DEFAULT_MAX_LETTERS
-        )
+        window = build_window(m, admissible_seeds(m)[0], DEFAULT_RADIUS, min_level=1)
         ce = verify_constant(window, 2, 1).counterexample
         assert code == 1
         assert json.loads(out)["counterexample"] == {
@@ -394,9 +385,9 @@ class TestClosureCap:
         )
 
     def test_periodic_long_slice_runs(self, morph_file):
-        """A periodic fixed point is not priced: p(n) is its period.  The
+        """A periodic slice is priced at P n letters, P the period: the
         closure starts from one length-n window of the ray, so L_1000000
-        of a -> a b, b -> a b costs a few million letters."""
+        of a -> a b, b -> a b costs a few million letters and runs."""
         proc = subprocess.run(
             [sys.executable, "-c", "import sys; from subrec.cli import main; sys.exit(main())",
              "language", morph_file("per.morph", PER_TEXT), "--n", "1000000"],
@@ -501,14 +492,15 @@ class TestLog10PastFloatRange:
 
 
 class TestWindowCap:
-    """verify and analyze refuse a window past DEFAULT_MAX_LETTERS up front."""
+    """verify and analyze refuse a window past fixedpoint.WINDOW_MAX_LETTERS
+    up front; no option changes the cap."""
 
     @pytest.mark.parametrize("command", [["verify", "--L", "1"], ["analyze"]])
     def test_huge_radius_refused(self, command, morph_file):
         path = morph_file("fib.morph", FIB_TEXT)
         code, out, err = invoke([command[0], path, *command[1:], "--radius", "1000000000"])
         assert (code, out) == (3, "")
-        assert f"exceeds cap {DEFAULT_MAX_LETTERS}" in err
+        assert f"exceeds cap {WINDOW_MAX_LETTERS}" in err
 
 
 class TestExactCapEnvironment:

@@ -8,7 +8,7 @@ from subrec import (
     parse_morphism,
     power,
 )
-from subrec import zoo
+from subrec import fixedpoint, zoo
 from subrec.errors import CapExceeded, InputError
 from subrec.morphism import FixedPointSeed
 
@@ -83,10 +83,13 @@ class TestBuildWindow:
                 grown_right = m.apply(grown_right)
             assert grown_left + grown_right == w.content
 
-    def test_size_cap(self, fib):
+    def test_size_cap(self, fib, monkeypatch):
+        """The window cap is always on: build_window takes no cap argument
+        and refuses a step past fixedpoint.WINDOW_MAX_LETTERS."""
+        monkeypatch.setattr(fixedpoint, "WINDOW_MAX_LETTERS", 500)
         seed = admissible_seeds(fib)[0]
         with pytest.raises(CapExceeded, match="exceeds cap 500$"):
-            build_window(fib, seed, 10_000, max_letters=500)
+            build_window(fib, seed, 10_000)
 
     def test_min_level(self, fib):
         seed = admissible_seeds(fib)[0]

@@ -117,6 +117,15 @@ class TestFactorLanguage:
                         assert lang.slice(k) == {w[:k] for w in reference}
                         assert lang.ensure(k)[k] == counts[k]
 
+    def test_periodic_slice_priced(self, monkeypatch):
+        """A periodic slice is priced at P n letters, P the period the
+        screen finds: L_600 of (ab)^inf holds 1,200."""
+        monkeypatch.setattr(language, "CLOSURE_MAX_LETTERS", 1199)
+        with pytest.raises(CapExceeded, match="holds at least 1200 letters"):
+            FactorLanguage(zoo.PERIODIC).slice(600)
+        monkeypatch.setattr(language, "CLOSURE_MAX_LETTERS", 1200)
+        assert len(FactorLanguage(zoo.PERIODIC).slice(600)) == 2
+
     def test_slice_counts_nothing(self):
         """slice builds words and ensure counts them: a slice alone leaves
         the counts at p(0)."""

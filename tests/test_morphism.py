@@ -20,7 +20,14 @@ from subrec import zoo
 from subrec.errors import CapExceeded, InputError, MorphismSyntaxError
 from subrec.morphism import IncidenceMatrix
 
-from oracles import FIB_RULES, TM_RULES, TRIB_RULES, expand, first_positive_power
+from oracles import (
+    FIB_RULES,
+    TM_RULES,
+    TRIB_RULES,
+    expand,
+    first_positive_power,
+    random_primitive_rules,
+)
 
 ZOO = [zoo.FIBONACCI, zoo.THUE_MORSE, zoo.TRIBONACCI, zoo.COLLAPSING]
 
@@ -40,6 +47,10 @@ class TestParsing:
         m = parse_morphism("[one] -> [one] [two]\n[two] -> [one]")
         assert m.letters[0] == "[one]"
         assert m.decode(m.images[0]) == "[one] [two]"
+        # the separator is chosen per word: a space only when one of the
+        # word's own tokens is longer than a character
+        mixed = parse_morphism("[x] -> [x] [y]\n[y] -> a\na -> [x]")
+        assert [mixed.decode(mixed.encode(w)) for w in ("aa", "[x] a", "")] == ["aa", "[x] a", ""]
 
     def test_alphabet_order_is_lhs_order(self):
         m = parse_morphism("z -> z a\na -> z")
@@ -115,11 +126,11 @@ class TestIterate:
 
     def test_cap_uses_predicted_length(self, fib):
         # both rays of the window a.a grow one sigma-step at a time; the
-        # step to sigma^27(a) on each side, 2 F(29) letters, is the first
+        # step to sigma^29(a) on each side, 2 F(31) letters, is the first
         # past the cap and is refused with its length read off the matrix
         seed = admissible_seeds(fib)[0]
-        with pytest.raises(CapExceeded, match=f"^word of length {2 * 514229} exceeds cap {10**6}$"):
-            build_window(fib, seed, 10**9, max_letters=10**6)
+        with pytest.raises(CapExceeded, match=f"^word of length {2 * 1346269} exceeds cap {2_000_000}$"):
+            build_window(fib, seed, 10**9)
 
     @pytest.mark.parametrize("n", range(0, 11))
     def test_matrix_word_agreement(self, n):
@@ -188,17 +199,17 @@ class TestPrimitivity:
 
 class TestSeeds:
     def test_fib(self, fib):
-        seeds = admissible_seeds(fib, 4)
+        seeds = admissible_seeds(fib)
         decoded = [(s.power, fib.decode(s.left), fib.decode(s.right)) for s in seeds]
         assert decoded == [(2, "a", "a"), (2, "b", "a")]
 
     def test_tm_all_four(self, tm):
-        seeds = admissible_seeds(tm, 4)
+        seeds = admissible_seeds(tm)
         assert len(seeds) == 4
         assert {s.power for s in seeds} == {2}
 
     def test_coll_includes_bb(self, coll):
-        seeds = admissible_seeds(coll, 4)
+        seeds = admissible_seeds(coll)
         pairs = {(coll.decode(s.left), coll.decode(s.right)) for s in seeds}
         assert ("b", "b") in pairs
 
@@ -211,6 +222,20 @@ class TestSeeds:
         # the one-letter language closes to {aa}, so aa is admissible
         m = parse_morphism("a -> a a")
         assert [(s.power, m.decode(s.left + s.right)) for s in admissible_seeds(m)] == [(1, "aa")]
+
+    def test_found_within_alphabet_squared(self):
+        """The power cap never loses a seed: for a factor cd and k >= #A,
+        the last letter a of sigma^k(c) and the first letter b of
+        sigma^k(d) lie on cycles of the last- and first-letter maps, ab is
+        a factor, and the lcm e <= #A^2 of the two cycle lengths makes
+        (e, a, b) a seed."""
+        drawn = random_primitive_rules(random.Random(28), 90, (2, 5), (1, 4))
+        for rules in drawn:
+            m = parse_morphism("\n".join(f"{a} -> {' '.join(w)}" for a, w in rules.items()))
+            if m.widest < 2:
+                continue
+            seeds = admissible_seeds(m)
+            assert seeds and seeds[0].power <= m.size**2, rules
 
     def test_seed_validity_invariant(self):
         for m in ZOO:

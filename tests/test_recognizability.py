@@ -13,6 +13,7 @@ from subrec import (
     closed_form_bound,
     exact_ratio_constant,
     factor_language,
+    fixed_point_prefix,
     injectivity_exponent,
     interpretations,
     klouda_medkova_bound,
@@ -117,6 +118,14 @@ class TestInterpretations:
     def test_not_a_factor(self, fib):
         with pytest.raises(InputError, match="'bb' is not a factor"):
             interpretations(fib, fib.encode("bb"))
+
+    def test_membership_from_own_pass(self):
+        """A long factor is decided by the first-image pass over L_t,
+        t = 334 here: no slice of its own length is closed."""
+        m = parse_morphism("a -> a a b\nb -> b c a\nc -> c a b")
+        u = fixed_point_prefix(m, 1000)
+        assert interpretations(m, u)
+        assert max(language.language_of(m)._slices) < 1000
 
     def test_brute_force_agreement(self):
         for m, rules in RULED[:2]:
