@@ -119,7 +119,9 @@ class Morphism:
     def decode(self, word: Word) -> str:
         """Render an index-encoded word with display tokens, separated by
         spaces when one of them is longer than a character."""
-        if all(len(self.letters[ord(ch)]) == 1 for ch in set(word)):
+        chars = set(word)
+        require_letters(self, chars)
+        if all(len(self.letters[ord(ch)]) == 1 for ch in chars):
             return word.translate(self.letters)
         return " ".join(self.letters[ord(ch)] for ch in word)
 
@@ -337,6 +339,18 @@ def require_primitive(m: Morphism):
     """The guard of every computation that needs a primitive morphism."""
     if primitivity(m) is None:
         raise InputError("the morphism is not primitive")
+
+
+def require_letters(m: Morphism, chars: set[str]):
+    """Refuse an index-encoded word, given as its set of characters, that
+    holds a character past the alphabet, naming the character: a caller
+    who passes display text instead of ``m.encode(text)`` meets this."""
+    for ch in sorted(chars):
+        if ord(ch) >= m.size:
+            raise InputError(
+                f"character {ch!r} is not a letter index of this {m.size}-letter morphism; "
+                "index-encode words with Morphism.encode"
+            )
 
 
 def end_letters(m: Morphism, e: int) -> tuple[list[int], list[int]]:

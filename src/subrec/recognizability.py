@@ -40,6 +40,7 @@ from .morphism import (
     image_lengths,
     per_morphism,
     primitivity,
+    require_letters,
     require_primitive,
 )
 
@@ -150,6 +151,7 @@ def interpretations(m: Morphism, u: Word) -> tuple[Interpretation, ...]:
     """
     if not u:
         raise InputError("u must be non-empty")
+    require_letters(m, set(u))
     found: dict[tuple[Word, int], Interpretation] = {}
     for w, image, bounds in _first_images(m, len(u)):
         o = image.find(u)
@@ -234,47 +236,47 @@ def verify_constant(window: Window, L: int, p: int) -> VerifyResult:
     carrying the same preimage letter.  Counterexamples are globally valid;
     "ok" only says the window exhibited no conflict.
 
-    Cost: one pass over the span keeps, per context and preimage letter, the
-    nearest cut (smallest |i|, then smallest position); then one table
-    lookup per position pairs a non-cut with the nearest cut of any letter
-    and a cut with the nearest cut of another letter.  Ties: smallest |m|,
-    then |i|, then the context met first in the window, then a non-cut
-    before a cut, then the position m.
+    Cost: one pass interns each context as its first-occurrence rank, one
+    loop over the cuts marks each with its preimage letter, and one set-size
+    test says "ok" when no context carries two marks.  Otherwise the nearest
+    cuts are tabled per context and letter (smallest |i|, then position),
+    and a scan runs outward from the junction to the first |m| with a
+    conflict.  Ties: smallest |m|, then |i|, then the context met first in
+    the window, then a non-cut before a cut, then the position m.
     """
     if L < 0:
         raise InputError("L must be >= 0")
     cut_info = cutting_points(window, p)
     if L > _largest_constant(window, p):
         raise InputError(f"window [{window.lo},{window.hi}) too small for L={L} at level {p}")
-    content, lo = window.content, window.lo
-    span = range(lo + L, window.hi - L)
-
-    # context -> (rank of its first occurrence, {letter: (|i|, cut, i)})
-    table: dict[Word, tuple[int, dict[str, tuple[int, int, int]]]] = {}
-    for pos in span:
-        idx = pos - lo
-        _, nearest = table.setdefault(content[idx - L : idx + L + 1], (len(table), {}))
-        info = cut_info.get(pos)
-        if info is not None:
-            i, letter = info
-            if letter not in nearest or abs(i) < nearest[letter][0]:
-                nearest[letter] = (abs(i), pos, i)
-
-    best: tuple[tuple[int, int, int, bool, int], Counterexample] | None = None
-    for pos in span:
-        idx = pos - lo
-        rank, nearest = table[content[idx - L : idx + L + 1]]
-        info = cut_info.get(pos)
-        own = None if info is None else info[1]
-        rivals = [cut for letter, cut in nearest.items() if letter != own]
-        if not rivals:
-            continue
-        abs_i, c_pos, i = min(rivals)
-        key = (abs(pos), abs_i, rank, info is not None, pos)
-        if best is None or key < best[0]:
-            kind = "not_a_cut" if info is None else "preimage_mismatch"
-            best = (key, Counterexample(i, c_pos, pos, kind))
-    return VerifyResult(None if best is None else best[1])
+    content, start, width = window.content, window.lo + L, 2 * L + 1
+    # position start + k has rank[k] and marks[k]; nearest[rank][letter] = (|i|, cut, i)
+    ranks: dict[Word, int] = {}
+    rank = [ranks.setdefault(content[k : k + width], len(ranks)) for k in range(len(content) - 2 * L)]
+    marks: list[str | None] = [None] * len(rank)
+    for pos, (_, letter) in cut_info.items():
+        if 0 <= pos - start < len(rank):
+            marks[pos - start] = letter
+    if len(set(zip(rank, marks))) == len(ranks):
+        return VerifyResult(None)
+    nearest: dict[int, dict[str, tuple[int, int, int]]] = {}
+    for pos, (i, letter) in cut_info.items():
+        if 0 <= pos - start < len(rank):
+            table, cut = nearest.setdefault(rank[pos - start], {}), (abs(i), pos, i)
+            table[letter] = min(table.get(letter, cut), cut)
+    # a context carries two marks, so the scan meets a pair before r = len(content)
+    for r in range(len(content)):
+        found = []
+        for k in {-r - start, r - start}:
+            if 0 <= k < len(rank):
+                rivals = [c for letter, c in nearest.get(rank[k], {}).items() if letter != marks[k]]
+                if rivals:
+                    cut = min(rivals)
+                    found.append((cut[0], rank[k], marks[k] is not None, k, cut))
+        if found:
+            *_, k, (_, c_pos, i) = min(found)
+            kind = "not_a_cut" if marks[k] is None else "preimage_mismatch"
+            return VerifyResult(Counterexample(i, c_pos, start + k, kind))
 
 
 def _largest_constant(window: Window, p: int) -> int:

@@ -258,13 +258,17 @@ def verify_reference(window: OracleWindow, L: int, p: int) -> tuple[int, int, in
         non_cuts = [pos for pos, info in tagged if info is None]
         preimages = {info[1] for _, info in cut_members}
         candidates = []
+        c_pos, (i, _) = min(cut_members, key=lambda cm: abs(cm[1][0]))
         for m_pos in non_cuts:
-            c_pos, (i, _) = min(cut_members, key=lambda cm: abs(cm[1][0]))
             candidates.append((i, c_pos, m_pos, "not_a_cut"))
         if len(preimages) > 1:
+            # the nearest conflicting cut depends on the member's letter only
+            other = {
+                ch: min((cm for cm in cut_members if cm[1][1] != ch), key=lambda cm: abs(cm[1][0]))
+                for ch in preimages
+            }
             for m_pos, m_info in cut_members:
-                conflicting = [cm for cm in cut_members if cm[1][1] != m_info[1]]
-                c_pos, (i, _) = min(conflicting, key=lambda cm: abs(cm[1][0]))
+                c_pos, (i, _) = other[m_info[1]]
                 candidates.append((i, c_pos, m_pos, "preimage_mismatch"))
         for cand in candidates:
             if best is None or (abs(cand[2]), abs(cand[0])) < (abs(best[2]), abs(best[0])):

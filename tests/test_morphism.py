@@ -90,6 +90,11 @@ class TestParsing:
             for w in factor_language(m, n):
                 assert m.encode("".join(m.letters[ord(c)] for c in w)) == w
 
+    def test_decode_refuses_unencoded_word(self, fib):
+        # "a" is a display token, not the index-encoded letter chr(0)
+        with pytest.raises(InputError, match=r"character 'a' .*Morphism\.encode"):
+            fib.decode("a")
+
 
 class TestApply:
     def test_fib_ab(self, fib):

@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -27,8 +28,9 @@ from subrec import (
 from subrec import language, power_free_index, recurrence_constant_empirical, zoo
 from subrec.cli import _delay_json
 from subrec.errors import CapExceeded, InputError, NotAperiodicError
+from subrec.language import aperiodicity_check
 from subrec.morphism import parse_morphism
-from subrec.recognizability import _kernel_partition
+from subrec.recognizability import _kernel_partition, _largest_constant
 
 from oracles import (
     COLL_RULES,
@@ -118,6 +120,10 @@ class TestInterpretations:
     def test_not_a_factor(self, fib):
         with pytest.raises(InputError, match="'bb' is not a factor"):
             interpretations(fib, fib.encode("bb"))
+
+    def test_refuses_character_past_alphabet(self, fib):
+        with pytest.raises(InputError, match=r"character '\\x05' .*Morphism\.encode"):
+            interpretations(fib, chr(5))
 
     def test_membership_from_own_pass(self):
         """A long factor is decided by the first-image pass over L_t,
@@ -217,6 +223,10 @@ class TestSynchronizingPoint:
     def test_tm_abba(self, tm):
         assert synchronizing_point(tm, tm.encode("abba")) == (2, 4)
 
+    def test_refuses_unencoded_word(self, fib):
+        with pytest.raises(InputError, match=r"character 'a' .*Morphism\.encode"):
+            synchronizing_point(fib, "a")
+
 
 class TestSynchronizingDelay:
     def test_fib(self, fib):
@@ -281,9 +291,46 @@ class TestVerifyConstant:
             verify_constant(w, 6, 1)
 
     def test_tie_break_smallest_position(self, per):
-        w = window_of(per)
-        ce = verify_constant(w, 3, 1).counterexample
-        assert abs(ce.position) <= 2
+        ce = verify_constant(window_of(per), 3, 1).counterexample
+        assert ce == Counterexample(-1, -2, 0, "preimage_mismatch")
+
+    def test_matches_bucket_reference_random(self):
+        """The bucket reference on random aperiodic draws, at every L of the
+        grid the radius-300 window can check."""
+        kept = 0
+        for rules in random_primitive_rules(random.Random(36), 20, (2, 4), (1, 4)):
+            m = parse_morphism("\n".join(f"{a} -> {' '.join(image)}" for a, image in rules.items()))
+            if m.widest == 1 or aperiodicity_check(m) is not None:
+                continue
+            kept += 1
+            seed = admissible_seeds(m)[0]
+            w = build_window(m, seed, 300, min_level=2)
+            steps = w.max_level // seed.power
+            oracle = OracleWindow(
+                rules, m.decode(seed.left), m.decode(seed.right), seed.power, steps
+            )
+            for p in (1, 2):
+                for L in (L for L in (0, 1, 2, 4, 8) if L <= _largest_constant(w, p)):
+                    ref = verify_reference(oracle, L, p)
+                    expected = VerifyResult(None if ref is None else Counterexample(*ref))
+                    assert verify_constant(w, L, p) == expected, (rules, L, p)
+        assert kept >= 10
+
+    def test_memory_one_int_per_position(self, fib):
+        """The verifier keeps one int per position and one string per
+        distinct context.  A (2L+1)-letter string per position would cost
+        about 13 MB on this 13,530-letter window at L = 500; the interned
+        pass peaks near 2.6 MB, about half of it the cut dict of
+        cutting_points and most of the rest the 1,002 distinct contexts."""
+        w = build_window(fib, admissible_seeds(fib)[0], 5_000)
+        assert len(w.content) == 13_530
+        tracemalloc.start()
+        try:
+            verify_constant(w, 500, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6_000_000
 
     @pytest.mark.parametrize(
         "m, rules",
@@ -311,6 +358,13 @@ class TestVerifyConstant:
     def test_tie_break_context_order_mixed(self):
         ce = verify_constant(window_of(MIXED), 2, 2).counterexample
         assert ce == Counterexample(3, 27, 3, "not_a_cut")
+
+    def test_tie_break_context_before_cut_status(self):
+        # the non-cut m = -2 and the cut m = 2 tie on (|m|, |i|); the context
+        # met first decides before the non-cut rule does
+        m = parse_morphism("a -> b c a d\nb -> a\nc -> d\nd -> b d c")
+        ce = verify_constant(window_of(m), 0, 1).counterexample
+        assert ce == Counterexample(-1, -3, 2, "preimage_mismatch")
 
 
 class TestMinimalConstant:
