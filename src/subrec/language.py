@@ -4,8 +4,9 @@ The factor sets are exact: they are computed as the least fixed point of
 a monotone closure map (seeded from one window of the fixed-point ray;
 for a primitive morphism any nonempty seed closes to the whole slice), not
 by scanning a finite window and hoping it was long enough.  Long complexity
-counts store no slice at all: they stream L_n in sorted order from the
-sigma^j-images of a base slice (see FactorLanguage).  Fixed-point
+counts store no slice at all: they rank the windows of the sigma^j-images
+of a base slice bucket by bucket, then find each rank's neighbour LCP in
+one pass along the images (see FactorLanguage).  Fixed-point
 prefixes are scanned only for screens and lower bounds, each reported as
 such.  The aperiodicity screen returns the period it finds or None, and
 require_aperiodic refuses a periodic fixed point; power_free_index
@@ -18,12 +19,20 @@ RETURN_WINDOW_CAP.
 
 from __future__ import annotations
 
+from array import array
 from fractions import Fraction
 from itertools import accumulate, pairwise
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import CapExceeded, InputError, NotAperiodicError
-from .morphism import Morphism, Word, end_letters, per_morphism, require_primitive
+from .morphism import (
+    Morphism,
+    Word,
+    end_letters,
+    per_morphism,
+    require_letters,
+    require_primitive,
+)
 
 DEFAULT_SCAN_LEN = 10_000
 DEFAULT_MAX_K = 64
@@ -40,9 +49,10 @@ STREAM_BASE = DEFAULT_APERIODICITY_N
 # The streamed windows are bucketed by their first ell letters, ell the least
 # length with p(ell) >= STREAM_BUCKETS, so one bucket holds about
 # 1/STREAM_BUCKETS of L_n.  64 is at the knee: counting L_6899 of
-# f -> uu, p -> fux, u -> ux, x -> xp (40,190 words) peaks at 295, 87, 34
-# and 28 MB RSS with 1, 8, 64 and 512 buckets, in times within 15 % of
-# each other, and the base slice and the interpreter take about 25 MB.
+# f -> uu, p -> fux, u -> ux, x -> xp (40,190 words) peaks at 295, 85, 31
+# and 25 MB RSS with 1, 8, 64 and 512 buckets, in 0.80-0.98, 0.47-0.59,
+# 0.37-0.49 and 0.33-0.38 s, and the base slice and the interpreter take
+# about 16.5 MB (Python 3.11, 2-vCPU Linux container).
 STREAM_BUCKETS = 64
 CLOSURE_MAX_LETTERS = 10**8  # letters a slice or count past STREAM_BASE may read
 
@@ -80,10 +90,9 @@ class FactorLanguage:
     length-k prefixes iff their longest common prefix is shorter than k,
     so p(k) = 1 + #{neighbour pairs with LCP < k} for every k up to n.
 
-    Past STREAM_BASE, the count reads L_n in sorted order from a stream
-    and stores no length-n slice.  Take the least j >= 1 with
-    t = base_length(n, <sigma^j>) <= STREAM_BASE.  Then L_n is exactly
-    the set of length-n windows of sigma^j(v) that start inside
+    Past STREAM_BASE, the count stores no length-n slice.  Take the least
+    j >= 1 with t = base_length(n, <sigma^j>) <= STREAM_BASE.  Then L_n is
+    exactly the set of length-n windows of sigma^j(v) that start inside
     sigma^j(v[0]), for v in L_t:
 
     - sound: sigma^j(v) is a factor, so each of its windows is one;
@@ -93,13 +102,28 @@ class FactorLanguage:
       x at 0 is the window at o of sigma^j(v), v = y[0:t] in L_t;
     - each of these windows fits in sigma^j(v) (see base_length).
 
-    The (image, offset) pairs are grouped by their first ell letters, ell
-    the least length with p(ell) >= STREAM_BUCKETS.  Two words with
-    different ell-prefixes sort as their prefixes do, so the buckets in
-    key order, each deduplicated and sorted, spell L_n in sorted order,
-    and the neighbour count above runs over that stream unchanged (a pair
-    across two buckets has the LCP of their keys).  At most one bucket of
-    length-n words is alive at a time.
+    Call the letters of sigma^j(v) that these windows cover the text of v.
+    A text equal to that of the sorted predecessor of v adds no window and
+    is dropped.  The count then reads the windows in two passes.
+
+    - Pass 1 ranks the distinct words.  The windows are grouped by their
+      first ell letters, ell the least length with p(ell) >=
+      STREAM_BUCKETS.  Two words with different ell-prefixes sort as
+      their prefixes do, so the buckets, taken in key order and each
+      sorted with equal neighbours dropped, give each word its rank in
+      sorted L_n.  One bucket of length-n words is alive at a time; what
+      outlives it is one rank per window and one window per rank.
+    - Pass 2 finds, for each rank r > 0, the LCP of the words of ranks r
+      and r - 1, and p(k) = 1 + #{r > 0 with LCP < k} as above.  It walks
+      the windows of each text in order, and the LCP of one window bounds
+      that of the next (Kasai et al., CPM 2001): let u at offset o have
+      LCP h >= 1 with its predecessor w.  Then h < n, w[1:] extends to
+      the right to a word w' of L_n (every factor does), and w' sorts
+      below the word u' at o + 1 with h - 1 letters in common.  Every
+      word between w' and u' shares those letters with u', so u' has an
+      LCP of at least h - 1 with its own predecessor.  _common_prefix
+      gallops from there, once per rank; a repeated word reads the LCP
+      of its rank.
 
     A slice or count past STREAM_BASE reads every word of L_n: at least
     (n + 1) n letters, since p(n) >= n + 1 when aperiodic (Morse-Hedlund),
@@ -143,24 +167,56 @@ class FactorLanguage:
         words = self._slices[n] = frozenset(closed)
         return words
 
-    def _sorted_windows(self, n: int) -> Iterator[Word]:
-        """L_n in sorted order, one prefix bucket at a time (see the class
-        docstring); n > STREAM_BASE and |sigma| > 1."""
+    def _streamed_counts(self, n: int) -> list[int]:
+        """[p(0), ..., p(n)] from the sigma^j-windows in two passes, storing
+        no slice of length n (see the class docstring); n > STREAM_BASE and
+        |sigma| > 1."""
         m = self.morphism
         images = m.images
         while (t := base_length(n, min(map(len, images)))) > STREAM_BASE:
             images = tuple(m.apply(w) for w in images)
-        base = self.slice(t)
         counts = self.ensure(t)
         ell = next((k for k, p in enumerate(counts) if p >= STREAM_BUCKETS), len(counts) - 1)
-        buckets: dict[Word, list[tuple[Word, int]]] = {}
-        for v in base:
+        texts: list[Word] = []
+        # ell-prefix -> v, o, v, o, ...: window (v, o) is offset o of texts[v]
+        buckets = {key: array("l") for key in self.slice(ell)}
+        for v in sorted(self.slice(t)):
             lead = len(images[ord(v[0])])
             text = v.translate(images)[: lead + n - 1]
+            if texts and text == texts[-1]:
+                continue  # the same windows as its sorted predecessor's
             for o in range(lead):
-                buckets.setdefault(text[o : o + ell], []).append((text, o))
+                buckets[text[o : o + ell]].extend((len(texts), o))
+            texts.append(text)
+        # Pass 1: rank the distinct words bucket by bucket, in sorted order.
+        ranks = [array("l", [0]) * (len(text) - n + 1) for text in texts]  # [v][o]
+        first_v, first_o = array("l"), array("l")  # one window per rank
+        top = -1  # the highest rank given so far
         for key in sorted(buckets):
-            yield from sorted({text[o : o + n] for text, o in buckets.pop(key)})
+            pairs = buckets.pop(key)
+            vs, offsets = pairs[::2], pairs[1::2]
+            words = [texts[v][o : o + n] for v, o in zip(vs, offsets)]
+            last = None
+            for k in sorted(range(len(words)), key=words.__getitem__):
+                if words[k] != last:
+                    last, top = words[k], top + 1
+                    first_v.append(vs[k])
+                    first_o.append(offsets[k])
+                ranks[vs[k]][offsets[k]] = top
+            del words, last  # one bucket of words alive at a time
+        # Pass 2: each rank's LCP with its predecessor, along each text.
+        lcp = array("l", [-1]) * (top + 1)  # -1 until found; rank 0 has none
+        below = [0] * n  # below[l]: ranks r > 0 whose LCP is l < n
+        for text, row in zip(texts, ranks):
+            h = 0
+            for o, r in enumerate(row):
+                if r and lcp[r] < 0:
+                    h = _common_prefix(text, texts[first_v[r - 1]], o, first_o[r - 1], max(h - 1, 0))
+                    lcp[r] = h
+                    below[h] += 1
+                else:
+                    h = lcp[r]
+        return list(accumulate(below, initial=1))
 
     def ensure(self, n: int) -> list[int]:
         """[p(0), ..., p(n)], held for later calls: counted from the slice
@@ -172,7 +228,7 @@ class FactorLanguage:
                 self._counts = _prefix_counts(sorted(self.slice(n)), n)
             else:
                 self._price(n)
-                self._counts = _prefix_counts(self._sorted_windows(n), n)
+                self._counts = self._streamed_counts(n)
         return self._counts[: n + 1]
 
     def slice(self, n: int) -> frozenset[Word]:
@@ -192,14 +248,24 @@ class FactorLanguage:
         return words
 
     def __contains__(self, word: Word) -> bool:
+        require_letters(self.morphism, set(word))
         return word in self.slice(len(word))
 
 
-def _common_prefix(a: Word, b: Word, i: int = 0, j: int = 0) -> int:
-    """Length of the longest common prefix of a[i:] and b[j:], by
-    bisection.  Each step copies only the letters of b not yet known to
-    agree and compares them in place in a, so neither tail is copied."""
-    lo, hi = 0, min(len(a) - i, len(b) - j)
+def _common_prefix(a: Word, b: Word, i: int, j: int, lo: int) -> int:
+    """Length of the longest common prefix of a[i:] and b[j:], known to be
+    at least lo: gallop from lo by doubling steps, then bisect the last
+    step.  Each probe copies only the letters of b not yet known to agree
+    and compares them in place in a, so neither tail is copied, and a
+    prefix of length l costs O(log(l - lo + 1)) probes."""
+    hi = min(len(a) - i, len(b) - j)
+    step = 1
+    while lo < hi:
+        mid = min(lo + step, hi)
+        if not a.startswith(b[j + lo : j + mid], i + lo):
+            hi = mid - 1
+            break
+        lo, step = mid, 2 * step
     while lo < hi:
         mid = (lo + hi + 1) // 2
         if a.startswith(b[j + lo : j + mid], i + lo):
@@ -213,7 +279,7 @@ def _prefix_counts(ordered: Iterable[Word], n: int) -> list[int]:
     """[p(0), ..., p(n)] for distinct length-n words in sorted order."""
     below = [0] * n  # below[l]: sorted neighbours whose LCP is l < n
     for a, b in pairwise(ordered):
-        below[_common_prefix(a, b)] += 1
+        below[_common_prefix(a, b, 0, 0, 0)] += 1
     return list(accumulate(below, initial=1))
 
 
@@ -376,8 +442,8 @@ def _max_power_exponent(text: Word) -> int:
             if text[j : j + h] != text[j + p : j + p + h]:
                 j += h
                 continue
-            ahead = _common_prefix(text, text, j, j + p)
-            behind = _common_prefix(reverse, reverse, n - j, n - j - p)
+            ahead = _common_prefix(text, text, j, j + p, 0)
+            behind = _common_prefix(reverse, reverse, n - j, n - j - p, 0)
             best = max(best, (behind + ahead) // p + 1)
             h = -(-best * p // 2)
             j = (j + ahead) // h * h + h

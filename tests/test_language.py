@@ -1,14 +1,17 @@
 import copy
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from subrec import (
     aperiodicity_check,
     complexity,
     factor_language,
     fixed_point_prefix,
+    language_of,
     power_free_index,
     recurrence_constant_empirical,
 )
@@ -17,10 +20,12 @@ from subrec.errors import CapExceeded, InputError, NotAperiodicError
 from subrec.language import (
     BLOCK_SCAN_PERIOD,
     FactorLanguage,
+    _common_prefix,
     _longest_return,
     _max_power_exponent,
 )
 from subrec.morphism import parse_morphism
+from subrec.recognizability import recognizability_bound
 
 from oracles import (
     FIB_RULES,
@@ -117,6 +122,33 @@ class TestFactorLanguage:
                         assert lang.slice(k) == {w[:k] for w in reference}
                         assert lang.ensure(k)[k] == counts[k]
 
+    def test_streamed_count_memory(self):
+        """A streamed count holds one bucket of length-n words at a time:
+        L_2000 of f -> uu, p -> fux, u -> ux, x -> xp is 11,746 words,
+        23 MB stored, and the count peaks near 2.3 MB traced, its base
+        slice closed beforehand.  The bound sits below the 3.2 MB that a
+        stream of set-deduplicated buckets peaks at."""
+        m = parse_morphism("f -> u u\np -> f u x\nu -> u x\nx -> x p")
+        lang = FactorLanguage(m)
+        lang.ensure(language.STREAM_BASE)
+        tracemalloc.start()
+        try:
+            assert lang.ensure(2000)[2000] == 11_746
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_000_000
+
+    def test_membership_checks_letters(self):
+        """A character past the alphabet is refused before any slice is
+        closed, not answered False."""
+        lang = FactorLanguage(zoo.FIBONACCI)
+        assert "\x00\x01" in lang and "\x01\x01" not in lang
+        for word in ("z", "\x00" * 2000 + "\x02"):
+            with pytest.raises(InputError, match="is not a letter index"):
+                word in lang
+        assert max(lang._slices) == 2
+
     def test_periodic_slice_priced(self, monkeypatch):
         """A periodic slice is priced at P n letters, P the period the
         screen finds: L_600 of (ab)^inf holds 1,200."""
@@ -162,6 +194,15 @@ class TestComplexity:
                 assert current >= prev
                 assert current <= prev * m.size
                 prev = current
+
+    def test_roadmap5_streamed(self):
+        """a->ee; b->ce; c->eae; d->dc; e->bd: its empirical bound reads
+        p(i) up to c = R N + 2 = 3080 from one streamed count."""
+        m = parse_morphism("a -> e e\nb -> c e\nc -> e a e\nd -> d c\ne -> b d")
+        b = recognizability_bound(m, "empirical_exact")
+        assert (b.R * b.N + 2, b.Q) == (3080, 274525729206)
+        counts = language_of(m).ensure(3080)
+        assert (counts[3080], sum(counts)) == (39_954, 61_769_249)
 
     def test_certified_k_dominates(self):
         # exact complexity sits below the certified linear bound
@@ -285,6 +326,19 @@ class TestPowerFreeIndex:
         for m in [*ZOO, zoo.PERIODIC, *map(parse_morphism, others)]:
             text = fixed_point_prefix(m, 10_000)
             assert _max_power_exponent(text) == max_power_exponent_reference(text)
+
+
+@given(st.text("ab", max_size=40), st.text("ab", max_size=40), st.data())
+def test_common_prefix_from_any_lower_bound(a, b, data):
+    """_common_prefix(a, b, i, j, lo) is the longest common prefix of a[i:]
+    and b[j:] for every lo up to it."""
+    i = data.draw(st.integers(0, len(a)))
+    j = data.draw(st.integers(0, len(b)))
+    brute = 0
+    while i + brute < len(a) and j + brute < len(b) and a[i + brute] == b[j + brute]:
+        brute += 1
+    for lo in range(brute + 1):
+        assert _common_prefix(a, b, i, j, lo) == brute
 
 
 class TestAperiodicity:

@@ -117,13 +117,13 @@ def test_bound_streams_the_counts_once(monkeypatch):
     """The empirical bound reads every p(i), i <= c = 6899, from one
     stream of L_c, not one per i."""
     streams = []
-    sorted_windows = FactorLanguage._sorted_windows
+    streamed_counts = FactorLanguage._streamed_counts
 
     def counted(lang, n):
         streams.append(n)
-        return sorted_windows(lang, n)
+        return streamed_counts(lang, n)
 
-    monkeypatch.setattr(FactorLanguage, "_sorted_windows", counted)
+    monkeypatch.setattr(FactorLanguage, "_streamed_counts", counted)
     m = parse_morphism(STREAM_TEXT)
     assert recognizability_bound(m, "empirical_exact").Q == 505597640176
     assert streams == [6899]
