@@ -5,10 +5,10 @@ a monotone closure map (seeded from one window of the fixed-point ray;
 for a primitive morphism any nonempty seed closes to the whole slice), not
 by scanning a finite window and hoping it was long enough.  Long complexity
 counts store no slice at all: they rank the windows of the sigma^j-images
-of a base slice bucket by bucket, then find each rank's neighbour LCP in
-one pass along the images (see FactorLanguage).  Fixed-point
-prefixes are scanned only for screens and lower bounds, each reported as
-such.  The aperiodicity screen returns the period it finds or None, and
+of a base slice bucket by bucket, j chosen to hold the fewest bytes, then
+find each rank's neighbour LCP in one pass along the images (see
+FactorLanguage).  Fixed-point prefixes are scanned only for screens and
+lower bounds, each reported as such.  The aperiodicity screen returns the period it finds or None, and
 require_aperiodic refuses a periodic fixed point; power_free_index
 returns k, or refuses with CapExceeded when the scan cannot pin it;
 recurrence_constant_empirical returns the recurrence ratio K_emp, a
@@ -21,15 +21,18 @@ from __future__ import annotations
 
 from array import array
 from fractions import Fraction
-from itertools import accumulate, pairwise
-from typing import Iterable
+from itertools import accumulate, count, groupby, pairwise
+from operator import itemgetter
+from typing import Iterable, Iterator
 
 from .errors import CapExceeded, InputError, NotAperiodicError
 from .morphism import (
     Morphism,
     Word,
     end_letters,
+    image_lengths,
     per_morphism,
+    power,
     require_letters,
     require_primitive,
 )
@@ -47,13 +50,15 @@ BLOCK_SCAN_PERIOD = 64
 # screen derives its base slice by prefix-slicing and closes nothing new.
 STREAM_BASE = DEFAULT_APERIODICITY_N
 # The streamed windows are bucketed by their first ell letters, ell the least
-# length with p(ell) >= STREAM_BUCKETS, so one bucket holds about
-# 1/STREAM_BUCKETS of L_n.  64 is at the knee: counting L_6899 of
-# f -> uu, p -> fux, u -> ux, x -> xp (40,190 words) peaks at 295, 85, 31
-# and 25 MB RSS with 1, 8, 64 and 512 buckets, in 0.80-0.98, 0.47-0.59,
-# 0.37-0.49 and 0.33-0.38 s, and the base slice and the interpreter take
-# about 16.5 MB (Python 3.11, 2-vCPU Linux container).
-STREAM_BUCKETS = 64
+# length up to STREAM_BASE with p(ell) >= STREAM_BUCKETS, so one bucket holds
+# about 1/STREAM_BUCKETS of L_n.  512 is at the knee: counting L_6899 of
+# f -> uu, p -> fux, u -> ux, x -> xp (40,190 words, from sigma^9) peaks at
+# 332, 89, 27, 20 and 19 MB RSS with 1, 8, 64, 512 and 4096 buckets (the
+# last capped at the 1,166 words of L_200), in 1.07-1.19, 0.50-0.57,
+# 0.41-0.69, 0.31-0.35 and 0.28-0.32 s, and the base slice and the
+# interpreter take about 16.5 MB (three fresh interpreters each, Python
+# 3.11, 2-vCPU Linux container).
+STREAM_BUCKETS = 512
 CLOSURE_MAX_LETTERS = 10**8  # letters a slice or count past STREAM_BASE may read
 
 
@@ -90,29 +95,44 @@ class FactorLanguage:
     length-k prefixes iff their longest common prefix is shorter than k,
     so p(k) = 1 + #{neighbour pairs with LCP < k} for every k up to n.
 
-    Past STREAM_BASE, the count stores no length-n slice.  Take the least
-    j >= 1 with t = base_length(n, <sigma^j>) <= STREAM_BASE.  Then L_n is
+    Past STREAM_BASE, the count stores no length-n slice.  Take any j >= 1
+    with t = base_length(n, <sigma^j>) <= STREAM_BASE.  Then L_n is
     exactly the set of length-n windows of sigma^j(v) that start inside
     sigma^j(v[0]), for v in L_t:
 
     - sound: sigma^j(v) is a factor, so each of its windows is one;
     - complete: every point x of the shift is S^o sigma^j(y) for a point
-      y and an offset o < |sigma^j(y_0)| (primitive sigma^j maps the shift
-      into itself and covers it up to shifts), so the length-n factor of
-      x at 0 is the window at o of sigma^j(v), v = y[0:t] in L_t;
+      y and an offset o < |sigma^j(y_0)| (every power of a primitive
+      morphism is primitive, and primitive sigma^j maps the shift into
+      itself and covers it up to shifts), so the length-n factor of x at
+      0 is the window at o of sigma^j(v), v = y[0:t] in L_t;
     - each of these windows fits in sigma^j(v) (see base_length).
 
     Call the letters of sigma^j(v) that these windows cover the text of v.
     A text equal to that of the sorted predecessor of v adds no window and
-    is dropped.  The count then reads the windows in two passes.
+    is dropped.
+
+    Nothing above depends on which j is taken, so the counts do not; j is
+    chosen by the bytes the count will hold.  The texts hold at most
+    p(t) (n - 1) + W letters, where W, the sum of |sigma^j(v[0])| over v
+    in L_t, is the number of windows, and each window costs about 24
+    bytes in the bucket and rank arrays below.  A larger j shortens t, so
+    there are fewer and shorter texts, but the first images grow, and
+    with them W.  _stream_candidates reads t and W for each j off the
+    matrix powers and the first-letter counts of the base slice, building
+    nothing; _stream_power takes the least prediction, going up in j
+    until it rises or t reaches 2, and only that sigma^j is built.  The
+    count then reads the windows in two passes.
 
     - Pass 1 ranks the distinct words.  The windows are grouped by their
       first ell letters, ell the least length with p(ell) >=
-      STREAM_BUCKETS.  Two words with different ell-prefixes sort as
-      their prefixes do, so the buckets, taken in key order and each
-      sorted with equal neighbours dropped, give each word its rank in
-      sorted L_n.  One bucket of length-n words is alive at a time; what
-      outlives it is one rank per window and one window per rank.
+      STREAM_BUCKETS up to STREAM_BASE (STREAM_BASE if there is none),
+      which may exceed t since every window is longer.  Two words with
+      different ell-prefixes sort as their prefixes do, so the buckets,
+      taken in key order and each sorted with equal neighbours dropped,
+      give each word its rank in sorted L_n.  One bucket of length-n
+      words is alive at a time; what outlives it is one rank per window
+      and one window per rank.
     - Pass 2 finds, for each rank r > 0, the LCP of the words of ranks r
       and r - 1, and p(k) = 1 + #{r > 0 with LCP < k} as above.  It walks
       the windows of each text in order, and the LCP of one window bounds
@@ -167,16 +187,49 @@ class FactorLanguage:
         words = self._slices[n] = frozenset(closed)
         return words
 
+    def _stream_candidates(self, n: int) -> Iterator[tuple[int, int, int, int]]:
+        """(j, t, p(t), W) for the least j >= 1 of each t = base_length(n,
+        <sigma^j>) <= STREAM_BASE, down to t = 2: W = sum over v in L_t of
+        |sigma^j(v[0])| is the number of windows a count of L_n from
+        sigma^j reads.  Read off the matrix powers and the first-letter
+        counts of the base slice; nothing is built per j."""
+        m = self.morphism
+        # heads[a][t]: the words of L_t that start with letter a (every
+        # letter of a primitive morphism starts a word, so a is the index)
+        ordered = sorted(self.slice(STREAM_BASE))
+        heads = [_prefix_counts(group, STREAM_BASE) for _, group in groupby(ordered, itemgetter(0))]
+        last = None
+        for j in count(1):
+            lengths = image_lengths(m, j)
+            t = base_length(n, min(lengths))
+            if t <= STREAM_BASE and t != last:  # a larger j at the same t reads more
+                words = sum(h[t] for h in heads)
+                yield j, t, words, sum(h[t] * length for h, length in zip(heads, lengths))
+                last = t
+            if t == 2:
+                return
+
+    def _stream_power(self, n: int) -> int:
+        """The candidate j whose count of L_n is predicted to hold the fewest
+        bytes, scanning until the prediction rises (see the class docstring)."""
+        best = None
+        for j, _, words, windows in self._stream_candidates(n):
+            # the texts' letters, p(t)(n - 1) + W, and 24 bytes a window:
+            # its (v, o) in a bucket and its rank, one array('l') long each
+            cost = words * (n - 1) + 25 * windows
+            if best is not None and cost > best[0]:
+                break
+            best = cost, j
+        return best[1]
+
     def _streamed_counts(self, n: int) -> list[int]:
         """[p(0), ..., p(n)] from the sigma^j-windows in two passes, storing
         no slice of length n (see the class docstring); n > STREAM_BASE and
         |sigma| > 1."""
-        m = self.morphism
-        images = m.images
-        while (t := base_length(n, min(map(len, images)))) > STREAM_BASE:
-            images = tuple(m.apply(w) for w in images)
-        counts = self.ensure(t)
-        ell = next((k for k, p in enumerate(counts) if p >= STREAM_BUCKETS), len(counts) - 1)
+        counts = self.ensure(STREAM_BASE)
+        ell = next((k for k, p in enumerate(counts) if p >= STREAM_BUCKETS), STREAM_BASE)
+        images = power(self.morphism, self._stream_power(n)).images
+        t = base_length(n, min(map(len, images)))
         texts: list[Word] = []
         # ell-prefix -> v, o, v, o, ...: window (v, o) is offset o of texts[v]
         buckets = {key: array("l") for key in self.slice(ell)}

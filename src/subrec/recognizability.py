@@ -249,16 +249,11 @@ def verify_constant(window: Window, L: int, p: int) -> VerifyResult:
     cut_info = cutting_points(window, p)
     if L > _largest_constant(window, p):
         raise InputError(f"window [{window.lo},{window.hi}) too small for L={L} at level {p}")
-    content, start, width = window.content, window.lo + L, 2 * L + 1
-    # position start + k has rank[k] and marks[k]; nearest[rank][letter] = (|i|, cut, i)
-    ranks: dict[Word, int] = {}
-    rank = [ranks.setdefault(content[k : k + width], len(ranks)) for k in range(len(content) - 2 * L)]
-    marks: list[str | None] = [None] * len(rank)
-    for pos, (_, letter) in cut_info.items():
-        if 0 <= pos - start < len(rank):
-            marks[pos - start] = letter
-    if len(set(zip(rank, marks))) == len(ranks):
+    content, start = window.content, window.lo + L
+    rank, marks, unrefuted = _marked_contexts(content, cut_info, start, L)
+    if unrefuted:
         return VerifyResult(None)
+    # nearest[rank][letter] = (|i|, cut, i)
     nearest: dict[int, dict[str, tuple[int, int, int]]] = {}
     for pos, (i, letter) in cut_info.items():
         if 0 <= pos - start < len(rank):
@@ -279,6 +274,23 @@ def verify_constant(window: Window, L: int, p: int) -> VerifyResult:
             return VerifyResult(Counterexample(i, c_pos, start + k, kind))
 
 
+def _marked_contexts(
+    content: Word, cut_info: dict[int, tuple[int, str]], start: int, L: int
+) -> tuple[list[int], list[str | None], bool]:
+    """(rank, marks, unrefuted) for the window positions start + k:
+    rank[k] is the first-occurrence rank of the (2L+1)-letter context
+    there, marks[k] the preimage letter of a cut there (None elsewhere),
+    and unrefuted says that no context carries two marks."""
+    ranks: dict[Word, int] = {}
+    width = 2 * L + 1
+    rank = [ranks.setdefault(content[k : k + width], len(ranks)) for k in range(len(content) - 2 * L)]
+    marks: list[str | None] = [None] * len(rank)
+    for pos, (_, letter) in cut_info.items():
+        if 0 <= pos - start < len(rank):
+            marks[pos - start] = letter
+    return rank, marks, len(set(zip(rank, marks))) == len(ranks)
+
+
 def _largest_constant(window: Window, p: int) -> int:
     """Largest L whose span of centres still covers two level-p images."""
     widest_p = extreme_lengths(window.morphism, p)[0]
@@ -286,10 +298,12 @@ def _largest_constant(window: Window, p: int) -> int:
 
 
 def minimal_constant_empirical(window: Window, p: int, L_max: int) -> tuple[int, int]:
-    """(L, checked): an ascending scan of verify_constant over
+    """(L, checked): an ascending scan of verify_constant's verdict over
     L = 0..checked, checked being L_max cut to the largest L the window
     can check (L = 0 always runs).  L is the least L the window does not
-    refute, checked + 1 when it refutes them all.
+    refute, checked + 1 when it refutes them all.  The cuts and the
+    content are read once per scan, and each L is decided by the set-size
+    test alone: no refutation is built.
 
     Every refuted L is a global fact, so L is a certified lower bound.
     Window-relative "ok" is monotone in L (a longer context only refines
@@ -297,8 +311,9 @@ def minimal_constant_empirical(window: Window, p: int, L_max: int) -> tuple[int,
     if L_max < 0:
         raise InputError("L_max must be >= 0")
     checked = max(0, min(L_max, _largest_constant(window, p)))
+    cut_info, content = cutting_points(window, p), window.content
     for L in range(checked + 1):
-        if verify_constant(window, L, p).ok:
+        if _marked_contexts(content, cut_info, window.lo + L, L)[2]:
             return L, checked
     return checked + 1, checked
 

@@ -33,6 +33,7 @@ from oracles import (
     TRIB_RULES,
     closure_reference,
     distinct_factors,
+    expand,
     max_power_exponent_brute,
     max_power_exponent_reference,
     prefix,
@@ -122,6 +123,35 @@ class TestFactorLanguage:
                         assert lang.slice(k) == {w[:k] for w in reference}
                         assert lang.ensure(k)[k] == counts[k]
 
+    def test_streamed_counts_from_every_power(self, monkeypatch):
+        """Every candidate sigma^j gives the counts of the full-window
+        reference, with j pinned in turn.  Its predicted p(t) is the size
+        of the reference slice L_t, and its window count W the sum of
+        |sigma^j(v[0])| over it, one window per offset of each first
+        image, which the pass reads."""
+        drawn = random_primitive_rules(random.Random(40), 12, (2, 4), (1, 4))
+        cases = [(rules, parsed(rules)) for rules in drawn]
+        assert any(m.narrowest == 1 < m.widest for _, m in cases)  # <sigma> = 1
+        assert any(m.widest > 1 and aperiodicity_check(m) is not None for _, m in cases)
+        assert any(1 < m.narrowest < m.widest for _, m in cases)  # mixed image lengths
+        monkeypatch.setattr(language, "STREAM_BASE", 12)
+        for rules, m in cases:
+            reference = [m.encode(w) for w in closure_reference(rules, 100)]
+            counts = [len({w[:k] for w in reference}) for k in range(101)]
+            for n in (40, 100):
+                candidates = list(FactorLanguage(m)._stream_candidates(n))
+                assert candidates[-1][1] == 2
+                assert FactorLanguage(m)._stream_power(n) in [j for j, *_ in candidates]
+                for j, t, words, windows in candidates:
+                    base = closure_reference(rules, t)
+                    lead = {a: len(expand(rules, a, j)) for a in rules}
+                    assert (words, windows) == (len(base), sum(lead[v[0]] for v in base))
+                    with monkeypatch.context() as pinned:
+                        pinned.setattr(FactorLanguage, "_stream_power", lambda self, n, j=j: j)
+                        for buckets in (2, 512):
+                            pinned.setattr(language, "STREAM_BUCKETS", buckets)
+                            assert FactorLanguage(m).ensure(n) == counts[: n + 1], (rules, n, j)
+
     def test_streamed_count_memory(self):
         """A streamed count holds one bucket of length-n words at a time:
         L_2000 of f -> uu, p -> fux, u -> ux, x -> xp is 11,746 words,
@@ -138,6 +168,23 @@ class TestFactorLanguage:
         finally:
             tracemalloc.stop()
         assert peak < 3_000_000
+
+    def test_streamed_count_memory_fewest_bytes(self):
+        """The count streams from the sigma^j predicted to hold the fewest
+        bytes: L_4000 of the same morphism from sigma^8 (t = 11) peaks near
+        1.7 MB traced, its base slice closed beforehand.  sigma^5, the
+        least j with t <= STREAM_BASE (t = 101), peaks at 3.4 MB with 512
+        buckets and at 5.4 MB with 64."""
+        m = parse_morphism("f -> u u\np -> f u x\nu -> u x\nx -> x p")
+        lang = FactorLanguage(m)
+        lang.ensure(language.STREAM_BASE)
+        tracemalloc.start()
+        try:
+            assert lang.ensure(4000)[4000] == 23_449
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_500_000
 
     def test_membership_checks_letters(self):
         """A character past the alphabet is refused before any slice is

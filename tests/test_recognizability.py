@@ -378,6 +378,25 @@ class TestMinimalConstant:
         # every L <= 8 refuted: L = checked + 1
         assert minimal_constant_empirical(window_of(per), 1, 8) == (9, 8)
 
+    def test_scan_takes_verify_constant_verdicts(self):
+        """The scan's L is the least L that verify_constant does not
+        refute, checked + 1 when it refutes them all, on random draws
+        (periodic ones included) at two levels."""
+        kept = periodic = 0
+        for rules in random_primitive_rules(random.Random(40), 20, (2, 4), (1, 4)):
+            m = parse_morphism("\n".join(f"{a} -> {' '.join(image)}" for a, image in rules.items()))
+            if m.widest == 1:
+                continue
+            kept += 1
+            periodic += aperiodicity_check(m) is not None
+            w = build_window(m, admissible_seeds(m)[0], 300, min_level=2)
+            for p in (1, 2):
+                L, checked = minimal_constant_empirical(w, p, 12)
+                assert checked == max(0, min(12, _largest_constant(w, p)))
+                verdicts = [verify_constant(w, k, p).ok for k in range(checked + 1)]
+                assert L == (verdicts.index(True) if True in verdicts else checked + 1), (rules, p)
+        assert kept >= 10 and periodic >= 1
+
 
 class TestPowerScaling:
     def test_soundness_fib_tm(self, fib, tm):
