@@ -14,7 +14,6 @@ entry.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import re
 import sys
@@ -412,7 +411,7 @@ def _cmd_verify(args, out) -> int:
     if args.json:
         payload = {"ok": result.ok, "L": args.L, "level": args.level, "radius": args.radius}
         if result.counterexample is not None:
-            payload["counterexample"] = dataclasses.asdict(result.counterexample)
+            payload["counterexample"] = result.counterexample._asdict()
         print(emit_report(payload, as_json=True), file=out)
     elif result.ok:
         print(f"ok: no counterexample for L={args.L} at level {args.level} (window-relative)", file=out)

@@ -15,7 +15,7 @@ of the right ray, position -1 the last letter of the left ray.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CapExceeded, InputError
 from .language import language_of
@@ -27,8 +27,7 @@ from .morphism import FixedPointSeed, Morphism, Word, end_letters, image_lengths
 WINDOW_MAX_LETTERS = 2_000_000
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(NamedTuple):
     """A slice x[lo, hi) of a two-sided fixed point of sigma^e.
 
     ``tower[p]`` is the level-p preimage pair (left, right): applying

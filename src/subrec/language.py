@@ -42,7 +42,13 @@ DEFAULT_MAX_K = 64
 DEFAULT_APERIODICITY_N = 200
 RECURRENCE_MAX_LEN = 4  # factor lengths of the empirical recurrence scan
 RETURN_WINDOW_CAP = 1_000_000  # letters of the longest return-word scan window
-# Periods from here on are scanned by aligned blocks (_max_power_exponent).
+# Periods from here on are scanned in bands of aligned blocks
+# (_max_power_exponent).  The scan of a 10,000-letter fixed-point prefix is
+# flat for cuts from 16 to 64 and slower at 128, where the whole-shift marks
+# of the longer short periods cost more than their bands: 3.2-3.5 ms at 16,
+# 32 and 64 against 4.5-4.7 ms at 128, mean over 300 random primitive
+# fixed points on 2-5 letters (five runs each, Python 3.11, 2-vCPU Linux
+# container).  No input property picks a better cut.
 BLOCK_SCAN_PERIOD = 64
 # Slices up to this length are closed and stored; longer counts stream from
 # the sigma^j-images of a base slice no longer than this.  It is the length
@@ -329,10 +335,15 @@ def _common_prefix(a: Word, b: Word, i: int, j: int, lo: int) -> int:
 
 
 def _prefix_counts(ordered: Iterable[Word], n: int) -> list[int]:
-    """[p(0), ..., p(n)] for distinct length-n words in sorted order."""
+    """[p(0), ..., p(n)] for distinct length-n words in sorted order.
+
+    Read as 4n-byte big-endian integers (utf-32-be), two neighbours differ
+    first in the code that holds the top set bit of their XOR, so their
+    LCP is n - ceil(bit_length / 32)."""
     below = [0] * n  # below[l]: sorted neighbours whose LCP is l < n
-    for a, b in pairwise(ordered):
-        below[_common_prefix(a, b, 0, 0, 0)] += 1
+    codes = (int.from_bytes(w.encode("utf-32-be", "surrogatepass"), "big") for w in ordered)
+    for a, b in pairwise(codes):
+        below[n - ((a ^ b).bit_length() + 31) // 32] += 1
     return list(accumulate(below, initial=1))
 
 
@@ -451,36 +462,40 @@ def _max_power_exponent(text: Word) -> int:
     such positions can raise the maximum found so far, and periods stop
     once a (best+1)-th power no longer fits: (best+1)*p > len(text).
 
-    Periods below BLOCK_SCAN_PERIOD read the whole shift.  Each letter
-    becomes a fixed-width big-endian byte code; XOR-ing the codes with
-    their p-shift zeroes exactly the codes of agreeing positions, and
-    OR-folding each code into its last byte leaves one mark byte per
-    position, zero where the letters agree.  One bytes.find per
-    improvement settles the period.
+    Periods below BLOCK_SCAN_PERIOD read the whole shift.  The text is
+    encoded once, w = 1 byte a letter (latin-1) when every letter is below
+    256 and w = 4 bytes (utf-32-be) otherwise, and read as one big-endian
+    integer X.  (X >> 8pw) ^ (X & mask) XORs the codes with their p-shift
+    and zeroes exactly the codes of agreeing positions; OR-folding each
+    code into its last byte leaves one mark byte per position, zero where
+    the letters agree.  One bytes.find per improvement settles the period.
 
-    Longer periods compare aligned blocks only.  With h = ceil(best*p/2),
-    a run [s, s+r) with r >= best*p covers the block [j, j+h) at the
-    first multiple j of h at or past s, since j <= s+h-1 and so
-    j+h <= s+2h-1 <= s+best*p.  One slice compare per multiple of h
-    therefore misses no run that can raise best.  A matching block is
-    extended both ways by longest common extension (backwards over the
-    reversed text) to its whole run, and the scan goes on at the first
-    block past the run's end, where the next run can start at the
-    earliest.  A period then costs about 2*len(text)/(best*p) compares in
-    place of len(text) marks.  The cut is a constant because the scan
-    time on fixed-point prefixes is flat for cuts from 32 to 128: short
-    periods gain little from blocks of a few letters, and no input
-    property picks a better one.
+    Longer periods are scanned in bands [P, 2P), from P = BLOCK_SCAN_PERIOD
+    on, with h = ceil(best*P/2) for the best at the start of the band.  A
+    run [s, s+r) that can raise best at a period p of the band has r >=
+    best*p >= best*P >= 2h-1, so it covers the block [j, j+h) at the first
+    multiple j of h at or past s (j <= s+h-1, so j+h <= s+2h-1 <= s+r),
+    and that block recurs at j+p, with P <= p < 2P.  One str.find loop per
+    anchor j, for text[j:j+h] in text[j+P : j+2P-1+h], therefore meets
+    every such run as a hit q = j+p.  A hit is extended both ways by
+    longest common extension (backwards over the reversed text) to its
+    whole run, unless the run of period q-j through j was measured at an
+    earlier anchor.  A band then costs about 2*len(text)/(best*P) finds in
+    place of P whole-shift marks (see BLOCK_SCAN_PERIOD for the cut).
     """
     n = len(text)
-    width = max(1, (ord(max(text, default="\0")).bit_length() + 7) // 8)
-    codes = b"".join(ord(c).to_bytes(width, "big") for c in text)
+    if max(text, default="\0") < "\u0100":
+        codes, width = text.encode("latin-1"), 1
+    else:
+        codes, width = text.encode("utf-32-be", "surrogatepass"), 4
+    whole = int.from_bytes(codes, "big")
     best, p = 1, 1
     while (best + 1) * p <= n and p < BLOCK_SCAN_PERIOD:
         span = len(codes) - p * width
-        diff = int.from_bytes(codes[:span], "big") ^ int.from_bytes(codes[p * width :], "big")
-        for _ in range(width - 1):
+        diff = (whole >> 8 * p * width) ^ (whole & ((1 << 8 * span) - 1))
+        if width == 4:
             diff |= diff >> 8
+            diff |= diff >> 16
         marks = diff.to_bytes(span, "big")[width - 1 :: width]
         hit = marks.find(bytes(best * p))
         while hit != -1:
@@ -489,18 +504,20 @@ def _max_power_exponent(text: Word) -> int:
         p += 1
     reverse = text[::-1]
     while (best + 1) * p <= n:
+        top = min(2 * p, n // (best + 1) + 1)  # the band [p, top)
         h = -(-best * p // 2)
-        j = 0
-        while j + h <= n - p:
-            if text[j : j + h] != text[j + p : j + p + h]:
-                j += h
-                continue
-            ahead = _common_prefix(text, text, j, j + p, 0)
-            behind = _common_prefix(reverse, reverse, n - j, n - j - p, 0)
-            best = max(best, (behind + ahead) // p + 1)
-            h = -(-best * p // 2)
-            j = (j + ahead) // h * h + h
-        p += 1
+        reach = [0] * (top - p)  # [period - p]: end of its last measured run
+        for j in range(0, n - p - h + 1, h):
+            block, end = text[j : j + h], j + top - 1 + h
+            q = text.find(block, j + p, end)
+            while q != -1:
+                if reach[q - j - p] <= j:
+                    ahead = _common_prefix(text, text, j, q, h)
+                    behind = _common_prefix(reverse, reverse, n - j, n - q, 0)
+                    reach[q - j - p] = j + ahead
+                    best = max(best, (behind + ahead) // (q - j) + 1)
+                q = text.find(block, q + 1, end)
+        p = top
     return best
 
 

@@ -9,11 +9,14 @@ translate; words are validated there, so :meth:`Morphism.apply` is one
 blow up go through exact big-integer powers of the incidence matrix, never
 through word expansion.
 
-A :class:`Morphism` is immutable in its fields, and everything derived
-from it (matrix powers, primitivity, the factor language, the bound
-constants) is memoized on the instance by :func:`per_morphism`, so it is
-computed once and freed with the morphism.  The library makes no
-concurrency promise.
+A :class:`Morphism` is compared and hashed by value, its fields cannot be
+assigned, and everything derived from it (matrix powers, primitivity, the
+factor language, the bound constants) is memoized on the instance by
+:func:`per_morphism`, so it is computed once and freed with the morphism.
+It is a plain ``__slots__`` class, and the result records here and in the
+other modules are ``typing.NamedTuple`` classes: importing the package
+loads no ``dataclasses`` (nor the ``inspect`` it pulls in), a cost every
+fresh interpreter would pay.  The library makes no concurrency promise.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import functools
 import re
 import unicodedata
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InputError, MorphismSyntaxError, SubrecError
 
@@ -30,42 +33,59 @@ Word = str  # characters are chr(letter index)
 _BRACKETED = re.compile(r"^\[[^\[\]\s]+\]$")
 
 
-@dataclass(frozen=True)
 class Morphism:
     """A non-erasing morphism, given by one image word per letter.
 
     ``letters[i]`` is the display token of letter ``i`` and ``images[i]``
     its image; all words are index-encoded strings.  Instances are
-    hashable and compared by value; the memo of derived values takes no
-    part in either.
+    hashable and compared by value, and their fields cannot be assigned;
+    the memo of derived values takes no part in either.
     """
+
+    __slots__ = ("letters", "images", "_memo", "__weakref__")
 
     letters: tuple[str, ...]
     images: tuple[Word, ...]
+    _memo: dict  # derived values, filled by per_morphism
 
-    def __post_init__(self):
-        size = len(self.letters)
+    def __init__(self, letters: tuple[str, ...], images: tuple[Word, ...]):
+        size = len(letters)
         if size == 0:
             raise InputError("empty alphabet")
-        if len(self.images) != size:
+        if len(images) != size:
             raise InputError("one image per letter required")
-        if len(set(self.letters)) != size:
+        if len(set(letters)) != size:
             raise InputError("display tokens must be pairwise distinct")
-        for display, image in zip(self.letters, self.images):
+        for display, image in zip(letters, images):
             if not image:
                 raise InputError(f"image of letter {display!r} is empty")
             for ch in image:
                 if ord(ch) >= size:
                     raise InputError(f"image of {display!r} uses an unknown letter")
+        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "_memo", {})
 
-    @functools.cached_property
-    def _memo(self) -> dict:
-        """Derived values, filled by :func:`per_morphism`."""
-        return {}
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
-    def __getstate__(self):
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.letters == other.letters and self.images == other.images
+
+    def __hash__(self):
+        return hash((self.letters, self.images))
+
+    def __repr__(self):
+        return f"Morphism(letters={self.letters!r}, images={self.images!r})"
+
+    def __reduce__(self):
         # pickles and copies carry the fields only and start an empty memo
-        return {"letters": self.letters, "images": self.images}
+        return Morphism, (self.letters, self.images)
 
     @property
     def size(self) -> int:
@@ -133,7 +153,6 @@ class Morphism:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
 class IncidenceMatrix:
     """Square matrix of arbitrary-precision naturals.
 
@@ -141,7 +160,21 @@ class IncidenceMatrix:
     image of letter b, so column sums are image lengths.
     """
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: tuple[tuple[int, ...], ...]):
+        self.rows = rows
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rows == other.rows
+
+    def __hash__(self):
+        return hash(self.rows)
+
+    def __repr__(self):
+        return f"IncidenceMatrix(rows={self.rows!r})"
 
     @property
     def dim(self) -> int:
@@ -179,8 +212,7 @@ def identity_matrix(dim: int) -> IncidenceMatrix:
     return IncidenceMatrix(tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim)))
 
 
-@dataclass(frozen=True)
-class FixedPointSeed:
+class FixedPointSeed(NamedTuple):
     """Two-sided fixed point seed: sigma^power(left) ends with left,
     sigma^power(right) starts with right, and left+right is admissible."""
 

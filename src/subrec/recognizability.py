@@ -14,11 +14,10 @@ heuristic.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterator, Literal
+from typing import Iterator, Literal, NamedTuple
 
 from .bignum import digits10, int_log10, log10_line
 from .errors import InputError
@@ -100,8 +99,7 @@ def injectivity_exponent(m: Morphism) -> int:
 # Interpretations, synchronizing points, synchronizing delay
 
 
-@dataclass(frozen=True)
-class Interpretation:
+class Interpretation(NamedTuple):
     """A triple (prefix, core, suffix) with sigma(core) = prefix.u.suffix,
     tight on both ends, plus the image-boundary positions inside u.
 
@@ -117,8 +115,7 @@ class Interpretation:
     cuts: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class SyncResult:
+class SyncResult(NamedTuple):
     """Outcome of the delay search.
 
     delay is the first length at which every factor has a synchronizing
@@ -208,8 +205,7 @@ def synchronizing_delay(m: Morphism, n_max: int) -> SyncResult:
 # Window-based verifier
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(NamedTuple):
     """A pair refuting constant L at the given level: the context around
     position m equals the context around the cut at cut_position (whose
     level-p preimage index is preimage_index), yet m is not a cut with the
@@ -221,8 +217,7 @@ class Counterexample:
     kind: Literal["not_a_cut", "preimage_mismatch"]
 
 
-@dataclass(frozen=True)
-class VerifyResult:
+class VerifyResult(NamedTuple):
     counterexample: Counterexample | None = None
 
     @property
@@ -322,8 +317,7 @@ def minimal_constant_empirical(window: Window, p: int, L_max: int) -> tuple[int,
 # Certified constants and bounds
 
 
-@dataclass(frozen=True)
-class BigValue:
+class BigValue(NamedTuple):
     """An exact big natural, or its symbolic/logarithmic stand-in once the
     exact form would blow past the digit cap; log10 is a Decimal once it
     passes float range."""
@@ -341,8 +335,7 @@ class BigValue:
         return None if self.exact is None else digits10(self.exact)
 
 
-@dataclass(frozen=True)
-class BoundBreakdown:
+class BoundBreakdown(NamedTuple):
     N: int
     k: int
     K: Fraction | int

@@ -542,3 +542,18 @@ class TestReadmeQuickstart:
                 assert out.splitlines() == shown, argv
             else:
                 assert code == 0, argv
+
+
+def test_import_loads_no_dataclasses():
+    """Every CLI run is a fresh interpreter and pays each import:
+    importing the package and its CLI loads neither dataclasses nor
+    the inspect it pulls in (-S leaves out the site hooks, which are
+    not the package's)."""
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, subrec, subrec.cli;"
+         " print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src")),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

@@ -23,6 +23,7 @@ from subrec.language import (
     _common_prefix,
     _longest_return,
     _max_power_exponent,
+    _prefix_counts,
 )
 from subrec.morphism import parse_morphism
 from subrec.recognizability import recognizability_bound
@@ -328,6 +329,13 @@ class TestPowerFreeIndex:
             text = "".join(text)
             assert _max_power_exponent(text) == max_power_exponent_brute(text, len(text) // 2)
 
+    @pytest.mark.parametrize("high", [0x100, 0x10000])
+    def test_scan_reads_every_code_byte(self, high):
+        # a and b differ in one byte of their four-byte codes only
+        a, b = chr(0x61), chr(0x61 + high)
+        text = (a + b) * 3 + a
+        assert _max_power_exponent(text) == max_power_exponent_brute(text, 3) == 3
+
     @pytest.mark.parametrize("first,size", [(97, 2), (97, 3), (70_000, 40)])
     def test_block_scan_matches_reference(self, first, size):
         # 100-3,000 letters with powers of periods 1-400 planted, exponents
@@ -361,6 +369,30 @@ class TestPowerFreeIndex:
             brute = max_power_exponent_brute(text, len(text) // 2)
             assert _max_power_exponent(text) == brute == b + 1
 
+    # u^(b+1) with a run of exactly b*|u| positions, |u| at the edges of
+    # the bands [64, 128), [128, 256) and [256, 512), behind fillers whose
+    # lengths sweep the band's anchor grid; letters past 255 and past 65,535
+    # take the utf-32-be codes
+    @pytest.mark.parametrize("first", [300, 70_000])
+    @pytest.mark.parametrize("b", [1, 2])
+    @pytest.mark.parametrize("p", [127, 128, 255, 256, 511, 512])
+    def test_banded_scan_at_band_edges(self, p, b, first):
+        band = BLOCK_SCAN_PERIOD
+        while 2 * band <= p:
+            band *= 2
+        fresh = map(chr, range(first, first + 20_000))  # distinct letters: no other repeats
+        h = -(-b * band // 2)
+        for at in sorted({0, 1, h - 1, h, h + 1, 2 * h - 1, 2 * h}):
+            u = "".join(next(fresh) for _ in range(p))
+            filler = "".join(next(fresh) for _ in range(at))
+            text = filler + u * (b + 1) + next(fresh) + next(fresh) * b
+            assert _max_power_exponent(text) == max_power_exponent_reference(text) == b + 1
+
+    def test_banded_scan_on_random_fixed_points(self):
+        for rules in random_primitive_rules(random.Random(39), 40, (2, 5), (1, 4)):
+            text = fixed_point_prefix(parsed(rules), 10_000)
+            assert _max_power_exponent(text) == max_power_exponent_reference(text)
+
     def test_block_scan_on_fixed_points(self):
         others = [
             "a -> b c\nb -> a a d\nc -> b b d\nd -> d b b",
@@ -386,6 +418,23 @@ def test_common_prefix_from_any_lower_bound(a, b, data):
         brute += 1
     for lo in range(brute + 1):
         assert _common_prefix(a, b, i, j, lo) == brute
+
+
+# letters needing one, two and three bytes, and the surrogate range from 55,296
+@pytest.mark.parametrize("first", [0, 300, 55_290, 70_000])
+def test_prefix_counts_match_naive(first):
+    """_prefix_counts reads the LCP of sorted neighbours off the XOR of
+    their utf-32-be codes: p(k) for every k <= n, for n = 1, a single word
+    and an iterator of words among them."""
+    rng = random.Random(first)
+    for n in (1, 2, 3, 8, 24):
+        for size in (1, 2, 3, 9):
+            words = sorted(
+                {"".join(chr(first + rng.randrange(size)) for _ in range(n)) for _ in range(30)}
+            )
+            for ordered in (words, words[:1]):
+                naive = [len({w[:k] for w in ordered}) for k in range(n + 1)]
+                assert _prefix_counts(iter(ordered), n) == naive
 
 
 class TestAperiodicity:

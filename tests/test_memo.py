@@ -44,6 +44,20 @@ def test_memo_outside_equality_hash_and_repr():
     assert repr(m) == before
 
 
+def test_morphism_is_an_immutable_value():
+    m = parse_morphism(FIB_TEXT)
+    for field in ("letters", "images", "_memo"):
+        with pytest.raises(AttributeError):
+            setattr(m, field, ())
+        with pytest.raises(AttributeError):
+            delattr(m, field)
+    assert m.letters == ("a", "b")
+    assert (m == "x") is False and m != "x"
+    twin = Morphism(m.letters, m.images)
+    assert twin is not m and twin == m and hash(twin) == hash(m)
+    assert len({m, twin, zoo.FIBONACCI, zoo.THUE_MORSE}) == 2
+
+
 def test_values_shared_per_instance_not_per_value():
     m, twin = parse_morphism(FIB_TEXT), parse_morphism(FIB_TEXT)
     assert language_of(m) is language_of(m)
