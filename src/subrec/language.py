@@ -511,11 +511,12 @@ def _max_power_exponent(text: Word) -> int:
             block, end = text[j : j + h], j + top - 1 + h
             q = text.find(block, j + p, end)
             while q != -1:
-                if reach[q - j - p] <= j:
+                period = q - j
+                if reach[period - p] <= j:
                     ahead = _common_prefix(text, text, j, q, h)
                     behind = _common_prefix(reverse, reverse, n - j, n - q, 0)
-                    reach[q - j - p] = j + ahead
-                    best = max(best, (behind + ahead) // (q - j) + 1)
+                    reach[period - p] = j + ahead
+                    best = max(best, (behind + ahead) // period + 1)
                 q = text.find(block, q + 1, end)
         p = top
     return best
