@@ -36,7 +36,6 @@ from .morphism import (
     FixedPointSeed,
     Morphism,
     admissible_seeds,
-    default_seed_power_cap,
     parse_morphism,
     primitivity,
 )
@@ -113,7 +112,7 @@ def _seeds_json(m: Morphism, seeds: list[FixedPointSeed]) -> dict:
     }
 
 
-def _delay_json(m: Morphism, result: SyncResult, n_max: int) -> dict:
+def _delay_json(m: Morphism, result: SyncResult, n_max: int | None) -> dict:
     return {
         "C": result.delay,
         "L_from_C": None if result.delay is None else result.delay // 2,
@@ -199,30 +198,28 @@ def analyze(
         raise InputError("max_delay must be >= 1")
     warnings: list[str] = []
     witness = primitivity(m)
+    # what a non-primitive morphism reports; the rest of the analysis fills it in
+    constants = {"widest": str(m.widest), "narrowest": str(m.narrowest)}
     report = {
         "alphabet": list(m.letters),
         "rules": m.rules_text().splitlines(),
         "primitive": {"is": witness is not None, "witness": witness},
+        "seeds": _seeds_json(m, []),
+        "constants": constants,
+        "complexity": [],
+        "delay": _delay_json(m, SyncResult(None, ()), None),
+        "empirical": None,
+        "bounds": {},
         "warnings": warnings,
     }
-
     if witness is None:
         warnings.append("morphism is not primitive; analysis limited to the matrix")
-        return report | {
-            "seeds": {"power": None, "pairs": []},
-            "constants": {"widest": str(m.widest), "narrowest": str(m.narrowest)},
-            "complexity": [],
-            "delay": {"C": None, "L_from_C": None, "n_max": None, "failures": []},
-            "empirical": None,
-            "bounds": {},
-        }
+        return report
 
     seeds = admissible_seeds(m)
     report["seeds"] = _seeds_json(m, seeds)
     if not seeds:
-        warnings.append(
-            f"no admissible seed up to the power cap {default_seed_power_cap(m)}"
-        )
+        warnings.append("no admissible seed: every image is one letter, so no fixed point grows")
 
     period = aperiodicity_check(m)
     if period is not None:
@@ -230,13 +227,8 @@ def analyze(
     else:
         warnings.append(f"aperiodicity screened to n={DEFAULT_APERIODICITY_N}, not proven")
 
-    constants = report["constants"] = {
-        "widest": str(m.widest),
-        "narrowest": str(m.narrowest),
-        "K_cert": big_str(certified_constants(m)[1]),
-        "d": injectivity_exponent(m),
-        "d_safe": m.size,
-    }
+    constants.update(K_cert=big_str(certified_constants(m)[1]), d=injectivity_exponent(m))
+    constants["d_safe"] = m.size
     if period is None:
         n_exact, n_warnings = exact_ratio_constant(m)
         warnings.extend(n_warnings)
@@ -262,7 +254,6 @@ def analyze(
     elif delay.delay is None:
         warnings.append(f"no synchronizing delay up to n={max_delay}")
 
-    report["empirical"] = None
     if seeds:
         # Level 1 and one letter past |sigma| on each side: enough for L = 0.
         window = build_window(m, seeds[0], max(radius, m.widest + 1), min_level=1)
@@ -278,7 +269,7 @@ def analyze(
         else:
             warnings.append("heuristic constant is window-relative")
 
-    bounds = report["bounds"] = {}
+    bounds = report["bounds"]
     if period is None:
         try:
             breakdown = recognizability_bound(m, "empirical_exact", safe_d=safe_d)
@@ -390,11 +381,11 @@ def _cmd_delay(args, out) -> int:
     m = _load(args.file)
     result = synchronizing_delay(m, args.max)
     periodic = aperiodicity_check(m) is not None
+    payload = _delay_json(m, result, args.max)
     if args.json:
-        payload = _delay_json(m, result, args.max) | {"screened_periodic": periodic}
-        print(emit_report(payload, as_json=True), file=out)
+        print(emit_report(payload | {"screened_periodic": periodic}, as_json=True), file=out)
     elif result.delay is not None:
-        print(f"C={result.delay} L_from_C={result.delay // 2}", file=out)
+        print(f"C={payload['C']} L_from_C={payload['L_from_C']}", file=out)
     else:
         reason = "periodic fixed point" if periodic else "not reached"
         print(f"C=none up to n={args.max} ({reason})", file=out)
@@ -444,7 +435,7 @@ def _cmd_seeds(args, out) -> int:
         pairs = ", ".join(f"{a}.{b}" for a, b in payload["pairs"])
         print(f"power {payload['power']}: {pairs}", file=out)
     else:
-        print("no admissible seeds up to the power cap", file=out)
+        print("no admissible seeds: every image is one letter, so no fixed point grows", file=out)
     return 0
 
 

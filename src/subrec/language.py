@@ -21,8 +21,7 @@ from __future__ import annotations
 
 from array import array
 from fractions import Fraction
-from itertools import accumulate, count, groupby, pairwise
-from operator import itemgetter
+from itertools import accumulate, count, pairwise
 from typing import Iterable, Iterator
 
 from .errors import CapExceeded, InputError, NotAperiodicError
@@ -125,10 +124,10 @@ class FactorLanguage:
     bytes in the bucket and rank arrays below.  A larger j shortens t, so
     there are fewer and shorter texts, but the first images grow, and
     with them W.  _stream_candidates reads t and W for each j off the
-    matrix powers and the first-letter counts of the base slice, building
-    nothing; _stream_power takes the least prediction, going up in j
-    until it rises or t reaches 2, and only that sigma^j is built.  The
-    count then reads the windows in two passes.
+    matrix powers and the prefix sets of the base slice, storing nothing;
+    _stream_power takes the least prediction, going up in j until it
+    rises or t reaches 2, and only that sigma^j is built.  The count then
+    reads the windows in two passes.
 
     - Pass 1 ranks the distinct words.  The windows are grouped by their
       first ell letters, ell the least length with p(ell) >=
@@ -197,20 +196,16 @@ class FactorLanguage:
         """(j, t, p(t), W) for the least j >= 1 of each t = base_length(n,
         <sigma^j>) <= STREAM_BASE, down to t = 2: W = sum over v in L_t of
         |sigma^j(v[0])| is the number of windows a count of L_n from
-        sigma^j reads.  Read off the matrix powers and the first-letter
-        counts of the base slice; nothing is built per j."""
-        m = self.morphism
-        # heads[a][t]: the words of L_t that start with letter a (every
-        # letter of a primitive morphism starts a word, so a is the index)
-        ordered = sorted(self.slice(STREAM_BASE))
-        heads = [_prefix_counts(group, STREAM_BASE) for _, group in groupby(ordered, itemgetter(0))]
+        sigma^j reads.  t falls as j grows, so each L_t is the prefix set of
+        the last, from the stored base slice on; none is stored."""
+        words = self.slice(STREAM_BASE)
         last = None
         for j in count(1):
-            lengths = image_lengths(m, j)
+            lengths = image_lengths(self.morphism, j)
             t = base_length(n, min(lengths))
             if t <= STREAM_BASE and t != last:  # a larger j at the same t reads more
-                words = sum(h[t] for h in heads)
-                yield j, t, words, sum(h[t] * length for h, length in zip(heads, lengths))
+                words = {w[:t] for w in words}
+                yield j, t, len(words), sum(lengths[ord(v[0])] for v in words)
                 last = t
             if t == 2:
                 return
@@ -337,14 +332,28 @@ def _common_prefix(a: Word, b: Word, i: int, j: int, lo: int) -> int:
 def _prefix_counts(ordered: Iterable[Word], n: int) -> list[int]:
     """[p(0), ..., p(n)] for distinct length-n words in sorted order.
 
-    Read as 4n-byte big-endian integers (utf-32-be), two neighbours differ
-    first in the code that holds the top set bit of their XOR, so their
-    LCP is n - ceil(bit_length / 32)."""
+    Read as big-endian integers of w bytes a letter (_codec), two
+    neighbours differ first in the code that holds the top set bit of
+    their XOR, so their LCP is n - ceil(bit_length / 8w)."""
+    words = list(ordered)
+    codec, width = _codec(words)
+    bits = 8 * width
     below = [0] * n  # below[l]: sorted neighbours whose LCP is l < n
-    codes = (int.from_bytes(w.encode("utf-32-be", "surrogatepass"), "big") for w in ordered)
-    for a, b in pairwise(codes):
-        below[n - ((a ^ b).bit_length() + 31) // 32] += 1
+    ints = (int.from_bytes(w.encode(*codec), "big") for w in words)
+    for a, b in pairwise(ints):
+        below[n - ((a ^ b).bit_length() + bits - 1) // bits] += 1
     return list(accumulate(below, initial=1))
+
+
+def _codec(texts: list[Word]) -> tuple[tuple[str, ...], int]:
+    """(codec, w): text.encode(*codec) writes each of texts in w = 1 byte a letter
+    (latin-1) when all their letters are below 256, else in w = 4 (utf-32-be)."""
+    try:
+        for text in texts:
+            text.encode("latin-1")
+    except UnicodeEncodeError:
+        return ("utf-32-be", "surrogatepass"), 4
+    return ("latin-1",), 1
 
 
 @per_morphism
@@ -367,14 +376,14 @@ def complexity(m: Morphism, n: int) -> int:
     return language_of(m).ensure(n)[n]
 
 
+@per_morphism
 def right_prolongable_letter(m: Morphism) -> tuple[str, int]:
-    """A letter b and minimal power e with sigma^e(b) starting with b."""
-    for e in range(1, m.size + 1):
+    """A letter b and the least e (<= #A) with sigma^e(b) starting with b."""
+    for e in count(1):
         first_e = end_letters(m, e)[0]
         for i in range(m.size):
             if first_e[i] == i:
                 return chr(i), e
-    raise InputError("no right-prolongable letter found")  # unreachable for #A >= 1
 
 
 def fixed_point_prefix(m: Morphism, length: int) -> Word:
@@ -463,8 +472,7 @@ def _max_power_exponent(text: Word) -> int:
     once a (best+1)-th power no longer fits: (best+1)*p > len(text).
 
     Periods below BLOCK_SCAN_PERIOD read the whole shift.  The text is
-    encoded once, w = 1 byte a letter (latin-1) when every letter is below
-    256 and w = 4 bytes (utf-32-be) otherwise, and read as one big-endian
+    encoded once, w bytes a letter (_codec), and read as one big-endian
     integer X.  (X >> 8pw) ^ (X & mask) XORs the codes with their p-shift
     and zeroes exactly the codes of agreeing positions; OR-folding each
     code into its last byte leaves one mark byte per position, zero where
@@ -484,14 +492,11 @@ def _max_power_exponent(text: Word) -> int:
     place of P whole-shift marks (see BLOCK_SCAN_PERIOD for the cut).
     """
     n = len(text)
-    if max(text, default="\0") < "\u0100":
-        codes, width = text.encode("latin-1"), 1
-    else:
-        codes, width = text.encode("utf-32-be", "surrogatepass"), 4
-    whole = int.from_bytes(codes, "big")
+    codec, width = _codec([text])
+    whole = int.from_bytes(text.encode(*codec), "big")
     best, p = 1, 1
     while (best + 1) * p <= n and p < BLOCK_SCAN_PERIOD:
-        span = len(codes) - p * width
+        span = (n - p) * width
         diff = (whole >> 8 * p * width) ^ (whole & ((1 << 8 * span) - 1))
         if width == 4:
             diff |= diff >> 8

@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import re
 import unicodedata
+from itertools import count
 from typing import NamedTuple
 
 from .errors import InputError, MorphismSyntaxError, SubrecError
@@ -395,19 +396,14 @@ def end_letters(m: Morphism, e: int) -> tuple[list[int], list[int]]:
     return first, last
 
 
-def default_seed_power_cap(m: Morphism) -> int:
-    """First/last-letter maps have cycles of length <= #A, so a valid power
-    <= lcm of two cycle lengths <= (#A)^2 exists; the scan cap doubles that."""
-    return max(2, 2 * m.size * m.size)
-
-
 def admissible_seeds(m: Morphism) -> list[FixedPointSeed]:
-    """All admissible seeds at the minimal power e <= default_seed_power_cap(m).
-
-    A seed (e, a, b) needs sigma^e(a) to end with a, sigma^e(b) to start
-    with b, and ab to occur in the language.  Returns [] when no power up
-    to the cap works (callers should surface that as a warning).
-    """
+    """All admissible seeds (e, a, b) at the least power e: sigma^e(a)
+    ends with a, sigma^e(b) starts with b, and ab is a factor.  Some e <=
+    #A^2 has one once an image is longer than a letter: for a factor cd
+    and k >= #A, the last letter a of sigma^k(c) and the first letter b of
+    sigma^k(d) lie on cycles of the last- and first-letter maps, ab is a
+    factor, and e = the lcm of the cycle lengths works.  One-letter images
+    make a permutation, primitive only as a -> a, which has no seed."""
     require_primitive(m)
     if m.widest == 1:
         return []  # single-letter identity: no growing fixed point
@@ -415,19 +411,13 @@ def admissible_seeds(m: Morphism) -> list[FixedPointSeed]:
     from .language import factor_language  # deferred: language builds on this module
 
     pairs = factor_language(m, 2)
-    for e in range(1, default_seed_power_cap(m) + 1):
+    for e in count(1):
         first_e, last_e = end_letters(m, e)
-        lefts = [i for i in range(m.size) if last_e[i] == i]
-        rights = [i for i in range(m.size) if first_e[i] == i]
-        seeds = [
-            FixedPointSeed(e, chr(a), chr(b))
-            for a in lefts
-            for b in rights
-            if chr(a) + chr(b) in pairs
-        ]
+        lefts = [chr(i) for i in range(m.size) if last_e[i] == i]
+        rights = [chr(i) for i in range(m.size) if first_e[i] == i]
+        seeds = [FixedPointSeed(e, a, b) for a in lefts for b in rights if a + b in pairs]
         if seeds:
-            return sorted(seeds, key=lambda s: (s.left, s.right))
-    return []
+            return seeds  # sorted by (left, right), as lefts and rights are
 
 
 def power_scaled_constant(L: int, k: int, widest: int) -> int:

@@ -19,10 +19,11 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Iterator, Literal, NamedTuple
 
-from .bignum import digits10, int_log10, log10_line
-from .errors import InputError
+from .bignum import big_str, digits10, int_log10, log10_line
+from .errors import CapExceeded, InputError
 from .fixedpoint import Window, cutting_points
 from .language import (
+    CLOSURE_MAX_LETTERS,
     DEFAULT_APERIODICITY_N,
     RECURRENCE_MAX_LEN,
     aperiodicity_check,
@@ -50,48 +51,62 @@ DEFAULT_EXACT_CAP = 10**6  # decimal digits; past it a value is carried in logar
 # Injectivity exponent (letter-level kernel chain)
 
 
-def _image_letters(m: Morphism, letter: str, n: int) -> Iterator[str]:
-    if n == 0:
-        yield letter
-        return
-    for c in m.images[ord(letter)]:
-        yield from _image_letters(m, c, n - 1)
-
-
-def _images_equal(m: Morphism, a: str, b: str, n: int) -> bool:
-    if a == b:
-        return True
-    if image_lengths(m, n)[ord(a)] != image_lengths(m, n)[ord(b)]:
+def _images_equal(m: Morphism, labels: list, lengths: list, a: int, b: int) -> bool:
+    """sigma^n(a) == sigma^n(b), n = len(labels), labels[p][c] the class of
+    letter c at level p < n and lengths[p][c] = |sigma^p(c)|.  Two stacks
+    hold the unmatched blocks sigma^p(c) of each side, aligned at their
+    tops.  Tops of one level p and one length are equal iff their level-p
+    classes are; otherwise the longer top, or on a tie the higher, is
+    replaced by its blocks one level down.  Past CLOSURE_MAX_LETTERS
+    expansions the walk is refused with CapExceeded."""
+    n = len(labels)
+    if lengths[n][a] != lengths[n][b]:
         return False
-    return all(x == y for x, y in zip(_image_letters(m, a, n), _image_letters(m, b, n)))
+    left, right = ([(ord(c), n - 1) for c in reversed(m.images[x])] for x in (a, b))
+    expanded = 0
+    while left:
+        (c, p), (d, q) = left[-1], right[-1]
+        if p == q and lengths[p][c] == lengths[p][d]:
+            if labels[p][c] != labels[p][d]:
+                return False
+            del left[-1], right[-1]
+            continue
+        stack, c, p = (left, c, p) if (lengths[p][c], p) > (lengths[q][d], q) else (right, d, q)
+        stack[-1:] = [(ord(x), p - 1) for x in reversed(m.images[c])]
+        expanded += 1
+        if expanded > CLOSURE_MAX_LETTERS:
+            raise CapExceeded(f"injectivity walk expanded more than {CLOSURE_MAX_LETTERS} blocks")
+    return True
+
+
+def _kernel_chain(m: Morphism, top: int) -> list[list[int]]:
+    """labels[n][i], n = 0..top: the least letter with the sigma^n-image of i."""
+    lengths = [image_lengths(m, p) for p in range(top + 1)]
+    labels = [list(range(m.size))]
+    for _ in range(top):
+        label: list[int] = []
+        for i in range(m.size):
+            equal = (r for r in dict.fromkeys(label) if _images_equal(m, labels, lengths, r, i))
+            label.append(next(equal, i))
+        labels.append(label)
+    return labels
 
 
 def _kernel_partition(m: Morphism, n: int) -> tuple[tuple[str, ...], ...]:
     """The partition of the alphabet by sigma^n-image equality."""
-    classes: list[list[str]] = []
-    for i in range(m.size):
-        letter = chr(i)
-        for cls in classes:
-            if _images_equal(m, cls[0], letter, n):
-                cls.append(letter)
-                break
-        else:
-            classes.append([letter])
-    return tuple(tuple(cls) for cls in classes)
+    label = _kernel_chain(m, n)[n]
+    return tuple(tuple(chr(i) for i, s in enumerate(label) if s == r) for r in dict.fromkeys(label))
 
 
 @per_morphism
 def injectivity_exponent(m: Morphism) -> int:
     """The injectivity exponent d, read off the kernel chain of sigma^n on
-    letters, with image lengths compared via matrix powers before any
-    materialization.
-
-    The chain refines upward and is constant from level #A - 1 on, so d is
-    read off by comparing each level to the stable partition.  This
-    letter-level d is what the two-step bound argument consumes; forcing
-    d = #A (safe_d) covers the statement quantified over words.
-    """
-    levels = [_kernel_partition(m, n) for n in range(m.size)]
+    letters (_kernel_chain), which builds no image.  The chain coarsens
+    upward and is constant from level #A - 1 on, so d is read off by
+    comparing each level to the stable partition.  This letter-level d is
+    what the two-step bound argument consumes; forcing d = #A (safe_d)
+    covers the statement quantified over words."""
+    levels = _kernel_chain(m, m.size - 1)
     return next(n + 1 for n, level in enumerate(levels) if level == levels[-1])
 
 
@@ -446,15 +461,13 @@ def recognizability_bound(
 
     dq = d * q_value
     est_digits = _log10_scaled_power(m, r_value, dq) + 1
+    m_expr = f"{big_str(r_value)}*|sigma^{big_str(dq)}|"
+    bound_expr = f"{m_expr} + |sigma^{d}|"
     if est_digits <= DEFAULT_EXACT_CAP:
-        widest_dq = extreme_lengths(m, dq)[0]
-        m_value = BigValue.from_int(r_value * widest_dq, f"{r_value}*|sigma^{dq}|")
-        bound_int = m_value.exact + extreme_lengths(m, d)[0]
-        bound = BigValue.from_int(bound_int, f"{r_value}*|sigma^{dq}| + |sigma^{d}|")
+        m_value = BigValue.from_int(r_value * extreme_lengths(m, dq)[0], m_expr)
+        bound = BigValue.from_int(m_value.exact + extreme_lengths(m, d)[0], bound_expr)
     else:
-        log_m = est_digits - 1
-        m_value = BigValue(f"{r_value}*|sigma^{dq}|", log_m)
-        bound = BigValue(f"{r_value}*|sigma^{dq}| + |sigma^{d}|", log_m)
+        m_value, bound = BigValue(m_expr, est_digits - 1), BigValue(bound_expr, est_digits - 1)
         warnings.append(
             "bound exceeds the exact digit cap; logarithmic form uses measured growth"
         )

@@ -65,6 +65,25 @@ def closure_reference(rules: dict[str, str], c: int) -> set[str]:
         current |= fresh
 
 
+def kernel_partition_reference(rules: dict[str, str], n: int) -> list[list[str]]:
+    """The letters grouped by equal expanded n-th images, each class and
+    the classes in rule order."""
+    classes: dict[str, list[str]] = {}
+    for a in rules:
+        classes.setdefault(expand(rules, a, n), []).append(a)
+    return list(classes.values())
+
+
+def chain_text(k: int) -> str:
+    """A primitive morphism on the k >= 4 letters [x0], ..., [x(k-1)]:
+    [x0] and [x1] share the image [x1] [x2], [xi] -> [x(i+1)] [x0] for
+    2 <= i <= k-2, and [x(k-1)] -> [x0] [x1]."""
+    rules = ["[x0] -> [x1] [x2]", "[x1] -> [x1] [x2]"]
+    rules += [f"[x{i}] -> [x{i + 1}] [x0]" for i in range(2, k - 1)]
+    rules.append(f"[x{k - 1}] -> [x0] [x1]")
+    return "\n".join(rules) + "\n"
+
+
 def max_power_exponent_brute(text: str, max_period: int) -> int:
     """Largest k with some u^k in text, |u| <= max_period, by direct
     character comparison."""

@@ -24,6 +24,8 @@ from subrec import (
 )
 from subrec.errors import InputError
 
+from oracles import chain_text
+
 FIB_TEXT = "a -> a b\nb -> a\n"
 TM_TEXT = "a -> a b\nb -> b a\n"
 PER_TEXT = "a -> a b\nb -> a b\n"
@@ -102,6 +104,15 @@ class TestSubcommands:
         code, out, _ = invoke(["seeds", morph_file("fib.morph", FIB_TEXT)])
         assert code == 0
         assert "power 2" in out and "a.a" in out and "b.a" in out
+
+    def test_seeds_identity_names_the_cause(self, morph_file):
+        # a -> a is the one primitive morphism without a seed
+        path = morph_file("id.morph", "a -> a\n")
+        cause = "every image is one letter, so no fixed point grows"
+        assert invoke(["seeds", path]) == (0, f"no admissible seeds: {cause}\n", "")
+        code, out, _ = invoke(["analyze", path, "--json"])
+        assert code == 0
+        assert f"no admissible seed: {cause}" in json.loads(out)["warnings"]
 
     def test_language(self, morph_file):
         code, out, _ = invoke(["language", morph_file("tm.morph", TM_TEXT), "--n", "3"])
@@ -189,6 +200,36 @@ class TestSubcommands:
         data = json.loads(out)
         assert data["C"] == 4
         assert data["failures"][0][0] == 1
+
+
+class TestLargeAlphabet:
+    """On the 25-letter chain (oracles.chain_text) the certified dQ has
+    more than 4,300 digits, the interpreter's default str() limit."""
+
+    @pytest.fixture
+    def default_str_limit(self):
+        if not hasattr(sys, "get_int_max_str_digits"):
+            yield
+            return
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        yield
+        sys.set_int_max_str_digits(before)
+
+    def test_certified_bound_writes_the_long_exponent(self, morph_file, default_str_limit):
+        path = morph_file("chain25.morph", chain_text(25))
+        code, out, _ = invoke(["bound", path, "--mode", "certified", "--safe-d", "--json"])
+        assert code == 0
+        data = json.loads(out)["maindetail"]
+        dq = str(25 * int(data["Q"]))  # the run's big_str lifted the limit past these digits
+        assert data["d"] == 25 and len(dq) > 4300
+        assert data["M"]["expr"] == f"{data['R']}*|sigma^{dq}|"
+        assert data["bound"]["expr"] == f"{data['R']}*|sigma^{dq}| + |sigma^25|"
+
+    def test_analyze(self, morph_file):
+        code, out, _ = invoke(["analyze", morph_file("chain25.morph", chain_text(25)), "--json"])
+        assert code == 0
+        assert json.loads(out)["constants"]["d"] == 2
 
 
 class TestAnalyzeReport:

@@ -420,12 +420,13 @@ def test_common_prefix_from_any_lower_bound(a, b, data):
         assert _common_prefix(a, b, i, j, lo) == brute
 
 
-# letters needing one, two and three bytes, and the surrogate range from 55,296
-@pytest.mark.parametrize("first", [0, 300, 55_290, 70_000])
+# letters needing one, two and three bytes, the surrogate range from 55,296,
+# and letters on both sides of 256 (one word's letters fix no code width)
+@pytest.mark.parametrize("first", [0, 250, 300, 55_290, 70_000])
 def test_prefix_counts_match_naive(first):
     """_prefix_counts reads the LCP of sorted neighbours off the XOR of
-    their utf-32-be codes: p(k) for every k <= n, for n = 1, a single word
-    and an iterator of words among them."""
+    their one-byte or four-byte codes: p(k) for every k <= n, for n = 1, a
+    single word and an iterator of words among them."""
     rng = random.Random(first)
     for n in (1, 2, 3, 8, 24):
         for size in (1, 2, 3, 9):

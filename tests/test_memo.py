@@ -25,7 +25,7 @@ from subrec import (
 )
 from subrec.cli import analyze
 from subrec.errors import CapExceeded, InputError
-from subrec.language import FactorLanguage, _max_power_exponent
+from subrec.language import FactorLanguage, _max_power_exponent, right_prolongable_letter
 from subrec.morphism import Morphism
 
 FIB_TEXT = "a -> a b\nb -> a"
@@ -101,6 +101,8 @@ def test_one_analysis_runs_each_body_once():
         assert counts.get(is_primitive.__code__) == 1
         assert counts.get(aperiodicity_check.__wrapped__.__code__) == 1
         assert counts.get(injectivity_exponent.__wrapped__.__code__) == 1
+        # the letter and power of the fixed-point ray
+        assert counts.get(right_prolongable_letter.__wrapped__.__code__) == 1
 
 
 def test_refusal_is_stored_and_raised_with_a_fresh_traceback():

@@ -228,9 +228,13 @@ class TestSeeds:
         m = parse_morphism("a -> a a")
         assert [(s.power, m.decode(s.left + s.right)) for s in admissible_seeds(m)] == [(1, "aa")]
 
+    def test_identity_has_none(self):
+        # the one primitive morphism whose fixed point does not grow
+        assert admissible_seeds(parse_morphism("a -> a")) == []
+
     def test_found_within_alphabet_squared(self):
-        """The power cap never loses a seed: for a factor cd and k >= #A,
-        the last letter a of sigma^k(c) and the first letter b of
+        """The scan ends by #A^2 (see admissible_seeds): for a factor cd and
+        k >= #A, the last letter a of sigma^k(c) and the first letter b of
         sigma^k(d) lie on cycles of the last- and first-letter maps, ab is
         a factor, and the lcm e <= #A^2 of the two cycle lengths makes
         (e, a, b) a seed."""

@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -25,7 +26,7 @@ from subrec import (
     synchronizing_point,
     verify_constant,
 )
-from subrec import language, power_free_index, recurrence_constant_empirical, zoo
+from subrec import language, power_free_index, recognizability, recurrence_constant_empirical, zoo
 from subrec.cli import _delay_json
 from subrec.errors import CapExceeded, InputError, NotAperiodicError
 from subrec.language import aperiodicity_check
@@ -40,11 +41,13 @@ from oracles import (
     TM_RULES,
     TRIB_RULES,
     OracleWindow,
+    chain_text,
     check_counterexample,
     closure_reference,
     delay_reference,
     distinct_factors,
     interpretations_reference,
+    kernel_partition_reference,
     prefix,
     random_primitive_rules,
     sync_points_reference,
@@ -90,6 +93,52 @@ class TestInjectivityExponent:
             for lower, higher in zip(as_pairs, as_pairs[1:]):
                 assert lower <= higher
             assert levels[m.size - 1] == levels[m.size]
+
+    def test_partitions_match_expanded_images(self):
+        """Each level's partition, decided from the levels below it, is the
+        partition by literally expanded images, at every level up to #A + 1:
+        on draws with equal images, and with images that become equal only
+        past level 1."""
+        drawn = random_primitive_rules(random.Random(41), 600, (3, 5), (1, 2))
+        levels = [
+            [kernel_partition_reference(rules, n) for n in range(len(rules) + 2)] for rules in drawn
+        ]
+        assert sum(len(set(rules.values())) < len(rules) for rules in drawn) >= 10
+        assert sum(chain[1] != chain[-1] for chain in levels) >= 5
+        for rules, chain in zip(drawn, levels):
+            m = parse_morphism("\n".join(f"{a} -> {' '.join(image)}" for a, image in rules.items()))
+            for n, expected in enumerate(chain):
+                got = [[m.decode(c) for c in cls] for cls in _kernel_partition(m, n)]
+                assert got == expected, (rules, n)
+
+    def test_equal_images_with_misaligned_blocks(self):
+        # sigma(a) = cc and sigma(b) = d cut sigma^2 into different blocks,
+        # yet sigma^2(a) = abcabc = sigma^2(b)
+        m = parse_morphism("a -> c c\nb -> d\nc -> a b c\nd -> a b c a b c")
+        a, b, c, d = map(m.encode, "abcd")
+        assert _kernel_partition(m, 1) == ((a,), (b,), (c,), (d,))
+        assert _kernel_partition(m, 2) == _kernel_partition(m, 3) == ((a, b), (c,), (d,))
+        assert injectivity_exponent(m) == 3
+        # here a misaligned walk meets level-1 blocks of letters whose
+        # images differ at level 1 and agree at level 2
+        rules = {"a": "ba", "b": "c", "c": "d", "d": "eba", "e": "d"}
+        m = parse_morphism("\n".join(f"{x} -> {' '.join(image)}" for x, image in rules.items()))
+        for n in range(m.size + 2):
+            got = [[m.decode(x) for x in cls] for cls in _kernel_partition(m, n)]
+            assert got == kernel_partition_reference(rules, n), n
+
+    def test_twenty_letters_in_under_a_second(self):
+        # equal images [x0], [x1] on a chain whose images stay aligned
+        m = parse_morphism(chain_text(20))
+        start = time.perf_counter()
+        assert injectivity_exponent(m) == 2
+        assert time.perf_counter() - start < 1.0
+
+    def test_walk_past_the_cap_refused(self, monkeypatch):
+        monkeypatch.setattr(recognizability, "CLOSURE_MAX_LETTERS", 1)
+        m = parse_morphism("a -> c c\nb -> d\nc -> a b c\nd -> a b c a b c")
+        with pytest.raises(CapExceeded, match="expanded more than 1 blocks"):
+            injectivity_exponent(m)
 
 
 class TestInterpretations:
