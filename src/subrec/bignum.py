@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import sys
 from decimal import Decimal
 
 
@@ -45,8 +44,6 @@ def digits10(x: int) -> int:
 
 
 def big_str(x: int) -> str:
-    """Decimal string of an integer, lifting the interpreter's conversion cap."""
-    needed = digits10(abs(x)) + 10
-    if hasattr(sys, "get_int_max_str_digits") and sys.get_int_max_str_digits() < needed:
-        sys.set_int_max_str_digits(needed)
-    return str(x)
+    """Decimal string of an integer of any size: Decimal(x) is exact and,
+    unlike str(x), not bound by the interpreter's int-string limit."""
+    return str(Decimal(x))

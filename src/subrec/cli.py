@@ -91,7 +91,7 @@ def _breakdown_json(b: BoundBreakdown, mode: str) -> dict:
         "mode": mode,
         "N": big_str(b.N),
         "k": big_str(b.k),
-        "K": str(b.K),
+        "K": big_str(b.K) if isinstance(b.K, int) else str(b.K),
         "d": b.d,
         "R": big_str(b.R),
         "Q": big_str(b.Q),

@@ -15,11 +15,12 @@ of the right ray, position -1 the last letter of the left ray.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import NamedTuple
 
 from .errors import CapExceeded, InputError
 from .language import language_of
-from .morphism import FixedPointSeed, Morphism, Word, end_letters, image_lengths
+from .morphism import FixedPointSeed, Morphism, Word, end_letters, image_lengths, length_rows
 
 # Letters a window may hold.  verify --L 1 on Fibonacci peaks at about 112
 # bytes a letter plus 30 MB (212 MB RSS at 1,664,080 letters), so a window
@@ -62,7 +63,7 @@ def _validate_seed(m: Morphism, seed: FixedPointSeed):
     for letter in (seed.left, seed.right):
         if len(letter) != 1 or ord(letter) >= m.size:
             raise InputError("seed letter out of range")
-    first, last = end_letters(m, seed.power)
+    _, first, last = next(islice(end_letters(m), seed.power, None))
     a, b = ord(seed.left), ord(seed.right)
     if last[a] != a:
         raise InputError(f"sigma^{seed.power}({m.letters[a]}) does not end with it")
@@ -80,8 +81,8 @@ def build_window(m: Morphism, seed: FixedPointSeed, radius: int, min_level: int 
     intermediate preimage pair as the desubstitution tower.
 
     The result has lo <= -radius and hi >= radius, and its tower reaches
-    at least min_level sigma-steps.  Each step's length is read off the
-    matrix and refused with CapExceeded past WINDOW_MAX_LETTERS.
+    at least min_level sigma-steps.  Each step is priced off length_rows
+    and refused with CapExceeded past WINDOW_MAX_LETTERS.
     """
     if radius < 1:
         raise InputError("radius must be >= 1")
@@ -89,9 +90,9 @@ def build_window(m: Morphism, seed: FixedPointSeed, radius: int, min_level: int 
     a, b = ord(seed.left), ord(seed.right)
     pairs = [(seed.left, seed.right)]
     left, right = seed.left, seed.right
+    rows = islice(length_rows(m), 1, None)  # the image lengths of level len(pairs)
     while len(left) < radius or len(right) < radius or len(pairs) <= min_level:
-        for _ in range(seed.power):
-            lengths = image_lengths(m, len(pairs))
+        for lengths in islice(rows, seed.power):
             predicted = lengths[a] + lengths[b]
             if predicted > WINDOW_MAX_LETTERS:
                 raise CapExceeded(f"word of length {predicted} exceeds cap {WINDOW_MAX_LETTERS}")

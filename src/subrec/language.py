@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from array import array
 from fractions import Fraction
-from itertools import accumulate, count, pairwise
+from itertools import accumulate, islice, pairwise
 from typing import Iterable, Iterator
 
 from .errors import CapExceeded, InputError, NotAperiodicError
@@ -29,7 +29,7 @@ from .morphism import (
     Morphism,
     Word,
     end_letters,
-    image_lengths,
+    length_rows,
     per_morphism,
     power,
     require_letters,
@@ -123,11 +123,11 @@ class FactorLanguage:
     in L_t, is the number of windows, and each window costs about 24
     bytes in the bucket and rank arrays below.  A larger j shortens t, so
     there are fewer and shorter texts, but the first images grow, and
-    with them W.  _stream_candidates reads t and W for each j off the
-    matrix powers and the prefix sets of the base slice, storing nothing;
-    _stream_power takes the least prediction, going up in j until it
-    rises or t reaches 2, and only that sigma^j is built.  The count then
-    reads the windows in two passes.
+    with them W.  _stream_candidates reads t and W for each j off one
+    row of length_rows and the prefix sets of the base slice, storing
+    nothing; _stream_power takes the least prediction, going up in j
+    until it rises or t reaches 2, and only that sigma^j is built.  The
+    count then reads the windows in two passes.
 
     - Pass 1 ranks the distinct words.  The windows are grouped by their
       first ell letters, ell the least length with p(ell) >=
@@ -200,8 +200,7 @@ class FactorLanguage:
         the last, from the stored base slice on; none is stored."""
         words = self.slice(STREAM_BASE)
         last = None
-        for j in count(1):
-            lengths = image_lengths(self.morphism, j)
+        for j, lengths in enumerate(islice(length_rows(self.morphism), 1, None), 1):
             t = base_length(n, min(lengths))
             if t <= STREAM_BASE and t != last:  # a larger j at the same t reads more
                 words = {w[:t] for w in words}
@@ -379,8 +378,7 @@ def complexity(m: Morphism, n: int) -> int:
 @per_morphism
 def right_prolongable_letter(m: Morphism) -> tuple[str, int]:
     """A letter b and the least e (<= #A) with sigma^e(b) starting with b."""
-    for e in count(1):
-        first_e = end_letters(m, e)[0]
+    for e, first_e, _ in islice(end_letters(m), 1, None):
         for i in range(m.size):
             if first_e[i] == i:
                 return chr(i), e

@@ -5,9 +5,10 @@ are ``chr(index)``.  Display tokens exist only at the I/O boundary: the
 tuple ``Morphism.letters`` holds them in index order, and
 :func:`parse_morphism`, :meth:`Morphism.encode` and :meth:`Morphism.decode`
 translate; words are validated there, so :meth:`Morphism.apply` is one
-``str.translate`` by the images tuple.  All length computations that could
-blow up go through exact big-integer powers of the incidence matrix, never
-through word expansion.
+``str.translate`` by the images tuple.  Image lengths are exact big
+integers, never expanded words: a caller that walks consecutive exponents
+steps each from the last (:func:`length_rows`, :func:`end_letters`), and
+only a lone exponent powers the incidence matrix (:func:`image_lengths`).
 
 A :class:`Morphism` is compared and hashed by value, its fields cannot be
 assigned, and everything derived from it (matrix powers, primitivity, the
@@ -24,8 +25,9 @@ from __future__ import annotations
 import functools
 import re
 import unicodedata
-from itertools import count
-from typing import NamedTuple
+from itertools import count, islice
+from operator import or_
+from typing import Iterator, NamedTuple
 
 from .errors import InputError, MorphismSyntaxError, SubrecError
 
@@ -316,8 +318,19 @@ def incidence_matrix(m: Morphism) -> IncidenceMatrix:
 
 @per_morphism
 def image_lengths(m: Morphism, n: int) -> tuple[int, ...]:
-    """|sigma^n(a)| for every letter a, via matrix powers (exact)."""
+    """|sigma^n(a)| for every letter a at a lone n, via matrix powers (exact)."""
     return incidence_matrix(m).power(n).column_sums()
+
+
+def length_rows(m: Morphism) -> Iterator[list[int]]:
+    """The rows 1^T M^n of image lengths for n = 0, 1, ..., each from the
+    last: |sigma^n(a)| sums |sigma^(n-1)(c)| over the letters c of
+    sigma(a).  Not memoized, as the rows of a large alphabet grow long."""
+    codes = [[ord(c) for c in image] for image in m.images]
+    row = [1] * m.size
+    while True:
+        yield row
+        row = [sum(map(row.__getitem__, code)) for code in codes]
 
 
 def extreme_lengths(m: Morphism, n: int) -> tuple[int, int]:
@@ -344,21 +357,18 @@ def is_primitive(matrix: IncidenceMatrix) -> int | None:
     """The smallest k with M^k > 0, or None when M is not primitive; a
     witness is >= 1, so the value is truthy exactly for primitive M.
 
-    Only the positivity pattern matters, so powers are taken over
-    booleans; the verdict is conclusive either way because a primitive
-    d x d matrix must have M^k > 0 for some k <= d^2 - 2d + 2.
+    Only the positivity pattern matters: column b of M^k is a bit set,
+    the union of the columns of M^(k-1) at the rows of column b of M; the
+    verdict is conclusive either way because a primitive d x d matrix
+    must have M^k > 0 for some k <= d^2 - 2d + 2.
     """
-    dim = matrix.dim
-    pattern = [[bool(entry) for entry in row] for row in matrix.rows]
-    current = pattern
+    dim, full = matrix.dim, (1 << matrix.dim) - 1
+    sources = [[a for a in range(dim) if matrix.rows[a][b]] for b in range(dim)]
+    columns = [sum(1 << a for a in source) for source in sources]
     for k in range(1, wielandt_bound(dim) + 1):
-        if k > 1:
-            current = [
-                [any(current[i][t] and pattern[t][j] for t in range(dim)) for j in range(dim)]
-                for i in range(dim)
-            ]
-        if all(all(row) for row in current):
+        if all(column == full for column in columns):
             return k
+        columns = [functools.reduce(or_, map(columns.__getitem__, src), 0) for src in sources]
     return None
 
 
@@ -386,14 +396,15 @@ def require_letters(m: Morphism, chars: set[str]):
             )
 
 
-def end_letters(m: Morphism, e: int) -> tuple[list[int], list[int]]:
-    """(first, last): first[i] and last[i] are the indices of the first
-    and the last letter of sigma^e(i)."""
-    first, last = list(range(m.size)), list(range(m.size))
-    for _ in range(e):
-        first = [ord(m.images[i][0]) for i in first]
-        last = [ord(m.images[i][-1]) for i in last]
-    return first, last
+def end_letters(m: Morphism) -> Iterator[tuple[int, list[int], list[int]]]:
+    """(e, first, last) for e = 0, 1, ...: first[i] and last[i] are the
+    indices of the first and the last letter of sigma^e(i), each map one
+    step from the last."""
+    heads, tails = ([ord(image[end]) for image in m.images] for end in (0, -1))
+    first = last = list(range(m.size))
+    for e in count():
+        yield e, first, last
+        first, last = [heads[i] for i in first], [tails[i] for i in last]
 
 
 def admissible_seeds(m: Morphism) -> list[FixedPointSeed]:
@@ -411,8 +422,7 @@ def admissible_seeds(m: Morphism) -> list[FixedPointSeed]:
     from .language import factor_language  # deferred: language builds on this module
 
     pairs = factor_language(m, 2)
-    for e in count(1):
-        first_e, last_e = end_letters(m, e)
+    for e, first_e, last_e in islice(end_letters(m), 1, None):
         lefts = [chr(i) for i in range(m.size) if last_e[i] == i]
         rights = [chr(i) for i in range(m.size) if first_e[i] == i]
         seeds = [FixedPointSeed(e, a, b) for a in lefts for b in rights if a + b in pairs]

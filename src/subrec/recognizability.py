@@ -16,7 +16,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from decimal import Decimal
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import Iterator, Literal, NamedTuple
 
 from .bignum import big_str, digits10, int_log10, log10_line
@@ -37,7 +37,7 @@ from .morphism import (
     Morphism,
     Word,
     extreme_lengths,
-    image_lengths,
+    length_rows,
     per_morphism,
     primitivity,
     require_letters,
@@ -81,7 +81,7 @@ def _images_equal(m: Morphism, labels: list, lengths: list, a: int, b: int) -> b
 
 def _kernel_chain(m: Morphism, top: int) -> list[list[int]]:
     """labels[n][i], n = 0..top: the least letter with the sigma^n-image of i."""
-    lengths = [image_lengths(m, p) for p in range(top + 1)]
+    lengths = list(islice(length_rows(m), top + 1))
     labels = [list(range(m.size))]
     for _ in range(top):
         label: list[int] = []
@@ -364,16 +364,15 @@ class BoundBreakdown(NamedTuple):
 
 @per_morphism
 def certified_constants(m: Morphism) -> tuple[int, int]:
-    """(N_cert, K_cert), exact big-integer certificates from matrix powers
+    """(N_cert, K_cert), exact big-integer certificates from image lengths
     alone.  N_cert = |sigma^((#A)^2)| bounds |sigma^n|/<sigma^n> for every
     n; rret = 2 |sigma^(2 (#A)^2)| bounds return words to length-2
     factors, and K_cert = rret * N_cert * |sigma| bounds linear recurrence,
     making the fixed point (K_cert + 1)-power-free."""
     require_primitive(m)
     a2 = m.size * m.size
-    n_cert = extreme_lengths(m, a2)[0]
-    rret = 2 * extreme_lengths(m, 2 * a2)[0]
-    return n_cert, rret * n_cert * m.widest
+    n_cert, widest_2a2 = (max(row) for row in islice(length_rows(m), a2, 2 * a2 + 1, a2))
+    return n_cert, 2 * widest_2a2 * n_cert * m.widest
 
 
 @per_morphism
@@ -387,13 +386,7 @@ def exact_ratio_constant(m: Morphism) -> tuple[int, tuple[str, ...]]:
     maximum, escalated to the best stride bound when necessary."""
     require_primitive(m)
     span = 4 * m.size * m.size
-    # (|sigma^n|, <sigma^n>) for n = 1..span, from the running row vector
-    # 1^T M^n of image lengths: |sigma^n(a)| sums |sigma^(n-1)(c)| over
-    # the letters c of sigma(a).
-    lengths, extremes = [1] * m.size, []
-    for _ in range(span):
-        lengths = [sum(lengths[ord(c)] for c in image) for image in m.images]
-        extremes.append((max(lengths), min(lengths)))
+    extremes = [(max(row), min(row)) for row in islice(length_rows(m), 1, span + 1)]
     sampled = max(Fraction(widest, narrowest) for widest, narrowest in extremes)
     stride_bounds = [
         widest - narrowest + 1 for widest, narrowest in extremes[primitivity(m) - 1 :]

@@ -6,12 +6,15 @@ import re
 import resource
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
-from subrec.cli import DEFAULT_RADIUS, analyze, emit_report, run
+from subrec.bignum import big_str
+from subrec.cli import DEFAULT_RADIUS, _breakdown_json, analyze, emit_report, run
 from subrec.fixedpoint import WINDOW_MAX_LETTERS
+from subrec.recognizability import BigValue, BoundBreakdown
 from subrec import (
     admissible_seeds,
     build_window,
@@ -221,7 +224,8 @@ class TestLargeAlphabet:
         code, out, _ = invoke(["bound", path, "--mode", "certified", "--safe-d", "--json"])
         assert code == 0
         data = json.loads(out)["maindetail"]
-        dq = str(25 * int(data["Q"]))  # the run's big_str lifted the limit past these digits
+        # Q has 4,331 digits: Decimal converts both ways exactly, past the str() limit
+        dq = str(Decimal(25 * int(Decimal(data["Q"]))))
         assert data["d"] == 25 and len(dq) > 4300
         assert data["M"]["expr"] == f"{data['R']}*|sigma^{dq}|"
         assert data["bound"]["expr"] == f"{data['R']}*|sigma^{dq}| + |sigma^25|"
@@ -230,6 +234,16 @@ class TestLargeAlphabet:
         code, out, _ = invoke(["analyze", morph_file("chain25.morph", chain_text(25)), "--json"])
         assert code == 0
         assert json.loads(out)["constants"]["d"] == 2
+
+    def test_big_str_leaves_the_limit(self, default_str_limit):
+        assert big_str(10**5000 + 7) == "1" + "0" * 4999 + "7"
+        if hasattr(sys, "get_int_max_str_digits"):
+            assert sys.get_int_max_str_digits() == 4300
+
+    def test_breakdown_writes_a_long_integer_K(self, default_str_limit):
+        value = BigValue.from_int(5, "5")
+        breakdown = BoundBreakdown(1, 2, 10**5000, 1, 3, 4, value, value, ())
+        assert _breakdown_json(breakdown, "certified")["K"] == "1" + "0" * 5000
 
 
 class TestAnalyzeReport:

@@ -26,7 +26,7 @@ from subrec import (
 from subrec.cli import analyze
 from subrec.errors import CapExceeded, InputError
 from subrec.language import FactorLanguage, _max_power_exponent, right_prolongable_letter
-from subrec.morphism import Morphism
+from subrec.morphism import IncidenceMatrix, Morphism
 
 FIB_TEXT = "a -> a b\nb -> a"
 AAB_TEXT = "a -> a a b\nb -> b c a\nc -> c a b"
@@ -103,6 +103,15 @@ def test_one_analysis_runs_each_body_once():
         assert counts.get(injectivity_exponent.__wrapped__.__code__) == 1
         # the letter and power of the fixed-point ray
         assert counts.get(right_prolongable_letter.__wrapped__.__code__) == 1
+
+
+def test_fibonacci_analysis_powers_four_exponents():
+    """Consecutive exponents are stepped (length_rows); the matrix is
+    powered, once each, only for the lone n = 1, 1,024, 2,048 and dQ."""
+    profile = cProfile.Profile()
+    profile.runcall(analyze, parse_morphism(FIB_TEXT))
+    counts = {entry.code: entry.callcount for entry in profile.getstats()}
+    assert counts.get(IncidenceMatrix.power.__code__) == 4
 
 
 def test_refusal_is_stored_and_raised_with_a_fresh_traceback():

@@ -1,4 +1,5 @@
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,7 +19,7 @@ from subrec import (
 )
 from subrec import zoo
 from subrec.errors import CapExceeded, InputError, MorphismSyntaxError
-from subrec.morphism import IncidenceMatrix
+from subrec.morphism import IncidenceMatrix, end_letters, length_rows
 
 from oracles import (
     FIB_RULES,
@@ -200,6 +201,41 @@ class TestPrimitivity:
             rows = [[(bits >> (3 * i + j)) & 1 for j in range(3)] for i in range(3)]
             witness = is_primitive(IncidenceMatrix(tuple(tuple(r) for r in rows)))
             assert witness == first_positive_power(rows, 64)
+
+    @given(
+        st.integers(4, 7).flatmap(
+            lambda d: st.lists(
+                st.lists(st.sampled_from((0, 0, 1, 2)), min_size=d, max_size=d),
+                min_size=d,
+                max_size=d,
+            )
+        )
+    )
+    def test_against_oracle_on_random_matrices(self, rows):
+        witness = is_primitive(IncidenceMatrix(tuple(tuple(r) for r in rows)))
+        assert witness == first_positive_power(rows, wielandt_bound(len(rows)))
+
+
+class TestSteppedExponents:
+    """length_rows and end_letters step sigma^n from sigma^(n-1); the
+    oracle expands every image literally, one step at a time."""
+
+    @given(st.integers(0, 2**32))
+    def test_match_expanded_images(self, seed):
+        rules = random_primitive_rules(random.Random(seed), 1, (2, 5), (1, 3))[0]
+        m = parse_morphism("\n".join(f"{a} -> {' '.join(w)}" for a, w in rules.items()))
+        words = list(m.letters)  # sigma^0 of each letter, in index order
+        for n, row, (e, first, last) in zip(range(13), length_rows(m), end_letters(m)):
+            assert e == n
+            assert row == [len(w) for w in words], (rules, n)
+            assert first == [m.letters.index(w[0]) for w in words], (rules, n)
+            assert last == [m.letters.index(w[-1]) for w in words], (rules, n)
+            words = [expand(rules, w) for w in words]
+
+    def test_rows_are_image_lengths(self):
+        for m in ZOO:
+            for n, row in enumerate(islice(length_rows(m), 30)):
+                assert tuple(row) == image_lengths(m, n)
 
 
 class TestSeeds:

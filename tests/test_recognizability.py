@@ -1,3 +1,4 @@
+import cProfile
 import functools
 import math
 import random
@@ -30,7 +31,7 @@ from subrec import language, power_free_index, recognizability, recurrence_const
 from subrec.cli import _delay_json
 from subrec.errors import CapExceeded, InputError, NotAperiodicError
 from subrec.language import aperiodicity_check
-from subrec.morphism import parse_morphism
+from subrec.morphism import IncidenceMatrix, parse_morphism, primitivity
 from subrec.recognizability import _kernel_partition, _largest_constant
 
 from oracles import (
@@ -477,6 +478,26 @@ class TestCertifiedConstants:
             for n in range(1, 40):
                 widest, narrowest = extreme_lengths(m, n)
                 assert widest <= n_value * narrowest
+
+
+class TestLargeAlphabetStages:
+    """Stages that walk consecutive exponents step each from the last and
+    never power the #A x #A matrix (chain_text: 30 and 60 letters)."""
+
+    def test_no_matrix_power(self):
+        m = parse_morphism(chain_text(30))
+        profile = cProfile.Profile()
+        for stage in (injectivity_exponent, certified_constants, admissible_seeds):
+            profile.runcall(stage, m)
+        counts = {entry.code: entry.callcount for entry in profile.getstats()}
+        assert counts.get(IncidenceMatrix.power.__code__, 0) == 0
+
+    def test_sixty_letters_in_under_three_seconds(self):
+        m = parse_morphism(chain_text(60))
+        start = time.perf_counter()
+        assert primitivity(m) and injectivity_exponent(m) == 2
+        certified_constants(m)
+        assert time.perf_counter() - start < 3.0
 
 
 class TestRecognizabilityBound:
