@@ -2,7 +2,8 @@
 
 Subcommands: analyze | bound | delay | verify | language | seeds.
 Exit codes: 0 success, 1 analysis negative (a counterexample or a failed
-delay search is still a valid run), 2 input error, 3 resource cap exceeded.
+delay search is still a valid run, and a periodic fixed point is refused
+with NotAperiodicError), 2 input error, 3 resource cap exceeded.
 
 JSON output is deterministic: keys sorted, big integers as decimal strings,
 logarithmic values as {"log10": float, "expr": str} with floats rounded to
@@ -24,7 +25,7 @@ from .bignum import big_str
 from .errors import CapExceeded, InputError, NotAperiodicError
 from .fixedpoint import build_window
 from .language import (
-    DEFAULT_APERIODICITY_N,
+    APERIODICITY_HEDGE,
     RECURRENCE_MAX_LEN,
     aperiodicity_check,
     factor_language,
@@ -101,7 +102,7 @@ def _breakdown_json(b: BoundBreakdown, mode: str) -> dict:
         "warnings": list(b.warnings),
     }
     if b.bound.exact is not None:
-        out["digits"] = b.bound.digits
+        out["digits"] = len(out["bound"])
     return out
 
 
@@ -180,8 +181,6 @@ def _human_report(report: dict) -> str:
     lines.append("warnings")
     for w in report["warnings"]:
         lines.append(f"  - {w}")
-    if not report["warnings"]:
-        lines.append("  (none)")
     return "\n".join(lines)
 
 
@@ -225,7 +224,7 @@ def analyze(
     if period is not None:
         warnings.append(f"fixed point is periodic with period {period}")
     else:
-        warnings.append(f"aperiodicity screened to n={DEFAULT_APERIODICITY_N}, not proven")
+        warnings.append(APERIODICITY_HEDGE)
 
     constants.update(K_cert=big_str(certified_constants(m)[1]), d=injectivity_exponent(m))
     constants["d_safe"] = m.size
@@ -256,18 +255,22 @@ def analyze(
 
     if seeds:
         # Level 1 and one letter past |sigma| on each side: enough for L = 0.
-        window = build_window(m, seeds[0], max(radius, m.widest + 1), min_level=1)
-        L, checked = minimal_constant_empirical(window, 1, DEFAULT_L_MAX)
-        report["empirical"] = {
-            "L_lower": L,
-            "L_heuristic": L if L <= checked else None,
-            "radius": radius,
-            "level": 1,
-        }
-        if L > checked:
-            warnings.append(f"no recognizability constant up to L={checked} on the window")
+        try:
+            window = build_window(m, seeds[0], max(radius, m.widest + 1), min_level=1)
+        except CapExceeded as exc:
+            warnings.append(f"empirical omitted: {exc}")
         else:
-            warnings.append("heuristic constant is window-relative")
+            L, checked = minimal_constant_empirical(window, 1, DEFAULT_L_MAX)
+            report["empirical"] = {
+                "L_lower": L,
+                "L_heuristic": L if L <= checked else None,
+                "radius": radius,
+                "level": 1,
+            }
+            if L > checked:
+                warnings.append(f"no recognizability constant up to L={checked} on the window")
+            else:
+                warnings.append("heuristic constant is window-relative")
 
     bounds = report["bounds"]
     if period is None:
@@ -345,19 +348,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_analyze(args, out) -> int:
-    report = analyze(
-        _load(args.file),
-        radius=args.radius,
-        max_delay=args.max_delay,
-        safe_d=args.safe_d,
-    )
+def _cmd_analyze(m, args, out) -> int:
+    report = analyze(m, radius=args.radius, max_delay=args.max_delay, safe_d=args.safe_d)
     print(emit_report(report, args.json), file=out)
     return 0
 
 
-def _cmd_bound(args, out) -> int:
-    m = _load(args.file)
+def _cmd_bound(m, args, out) -> int:
     mode = "empirical_exact" if args.mode == "empirical" else "certified"
     b = recognizability_bound(m, mode, safe_d=args.safe_d)
     if args.json:
@@ -377,8 +374,7 @@ def _cmd_bound(args, out) -> int:
     return 0
 
 
-def _cmd_delay(args, out) -> int:
-    m = _load(args.file)
+def _cmd_delay(m, args, out) -> int:
     result = synchronizing_delay(m, args.max)
     periodic = aperiodicity_check(m) is not None
     payload = _delay_json(m, result, args.max)
@@ -392,8 +388,7 @@ def _cmd_delay(args, out) -> int:
     return 0 if result.delay is not None else 1
 
 
-def _cmd_verify(args, out) -> int:
-    m = _load(args.file)
+def _cmd_verify(m, args, out) -> int:
     seeds = admissible_seeds(m)
     if not seeds:
         raise InputError("no admissible seed; cannot build a window")
@@ -416,8 +411,7 @@ def _cmd_verify(args, out) -> int:
     return 0 if result.ok else 1
 
 
-def _cmd_language(args, out) -> int:
-    m = _load(args.file)
+def _cmd_language(m, args, out) -> int:
     words = sorted(m.decode(w) for w in factor_language(m, args.n))
     if args.json:
         print(emit_report({"n": args.n, "count": len(words), "words": words}, as_json=True), file=out)
@@ -426,8 +420,7 @@ def _cmd_language(args, out) -> int:
     return 0
 
 
-def _cmd_seeds(args, out) -> int:
-    m = _load(args.file)
+def _cmd_seeds(m, args, out) -> int:
     payload = _seeds_json(m, admissible_seeds(m))
     if args.json:
         print(emit_report(payload, as_json=True), file=out)
@@ -458,16 +451,13 @@ def run(argv: list[str], out=None, err=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return _COMMANDS[args.command](args, out)
+        return _COMMANDS[args.command](_load(args.file), args, out)
     except CapExceeded as exc:
         print(f"subrec: cap exceeded: {exc}", file=err)
         return 3
-    except NotAperiodicError as exc:
-        print(f"subrec: {exc}", file=err)
-        return 1
     except (InputError, OSError) as exc:
         print(f"subrec: {exc}", file=err)
-        return 2
+        return 1 if isinstance(exc, NotAperiodicError) else 2
 
 
 def main() -> None:

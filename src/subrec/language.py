@@ -439,6 +439,10 @@ def _longest_return(m: Morphism, u: Word) -> int:
         window *= 2
 
 
+# The warning of every report that rests on the screen's None verdict.
+APERIODICITY_HEDGE = f"aperiodicity screened to n={DEFAULT_APERIODICITY_N}, not proven"
+
+
 @per_morphism
 def aperiodicity_check(m: Morphism) -> int | None:
     """The period of the fixed point, or None when Morse-Hedlund screening

@@ -243,42 +243,35 @@ def parse_morphism(text: str) -> Morphism:
     defines letter indices.  Refuses with :class:`MorphismSyntaxError`,
     which carries the 1-based line and column.
     """
-    order: list[str] = []
-    raw_rules: dict[str, list[str]] = {}
-    image_tokens: list[tuple[str, int, int]] = []
-
+    rules: dict[str, list[tuple[str, int, int]]] = {}  # lhs -> its image tokens, in file order
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         spans = [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", line)]
-        tokens = [t for t, _ in spans]
-        if len(tokens) < 2 or tokens[1] != "->":
+        if len(spans) < 2 or spans[1][0] != "->":
             col = spans[1][1] if len(spans) > 1 else spans[0][1]
             raise MorphismSyntaxError("expected 'LHS -> RHS'", line_no, col)
         lhs, lhs_col = spans[0]
         if not _is_token(lhs):
             raise MorphismSyntaxError(f"bad token {lhs!r}", line_no, lhs_col)
-        if lhs in raw_rules:
+        if lhs in rules:
             raise MorphismSyntaxError(f"duplicate rule for {lhs!r}", line_no, lhs_col)
-        rhs = spans[2:]
-        if not rhs:
+        if len(spans) == 2:
             raise MorphismSyntaxError(f"rule for {lhs!r} has an empty image", line_no, len(line) + 1)
-        for token, col in rhs:
+        for token, col in spans[2:]:
             if not _is_token(token):
                 raise MorphismSyntaxError(f"bad token {token!r}", line_no, col)
-            image_tokens.append((token, line_no, col))
-        order.append(lhs)
-        raw_rules[lhs] = [t for t, _ in rhs]
+        rules[lhs] = [(token, line_no, col) for token, col in spans[2:]]
 
-    if not order:
+    if not rules:
         raise MorphismSyntaxError("no rules found", 1, 1)
-    index = {token: i for i, token in enumerate(order)}
-    for token, line_no, col in image_tokens:
-        if token not in index:
-            raise MorphismSyntaxError(f"no rule for letter {token!r}", line_no, col)
-
-    images = tuple("".join(chr(index[t]) for t in raw_rules[tok]) for tok in order)
-    return Morphism(tuple(order), images)
+    index = {token: i for i, token in enumerate(rules)}
+    for image in rules.values():
+        for token, line_no, col in image:
+            if token not in index:
+                raise MorphismSyntaxError(f"no rule for letter {token!r}", line_no, col)
+    images = tuple("".join(chr(index[t]) for t, _, _ in image) for image in rules.values())
+    return Morphism(tuple(rules), images)
 
 
 def per_morphism(fn):

@@ -15,16 +15,15 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from decimal import Decimal
-from fractions import Fraction
 from itertools import accumulate, islice
-from typing import Iterator, Literal, NamedTuple
+from typing import TYPE_CHECKING, Iterator, Literal, NamedTuple
 
 from .bignum import big_str, digits10, int_log10, log10_line
 from .errors import CapExceeded, InputError
 from .fixedpoint import Window, cutting_points
 from .language import (
+    APERIODICITY_HEDGE,
     CLOSURE_MAX_LETTERS,
-    DEFAULT_APERIODICITY_N,
     RECURRENCE_MAX_LEN,
     aperiodicity_check,
     base_length,
@@ -43,6 +42,9 @@ from .morphism import (
     require_letters,
     require_primitive,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction  # the type of K, which language builds
 
 DEFAULT_EXACT_CAP = 10**6  # decimal digits; past it a value is carried in logarithmic form
 
@@ -387,17 +389,13 @@ def exact_ratio_constant(m: Morphism) -> tuple[int, tuple[str, ...]]:
     require_primitive(m)
     span = 4 * m.size * m.size
     extremes = [(max(row), min(row)) for row in islice(length_rows(m), 1, span + 1)]
-    sampled = max(Fraction(widest, narrowest) for widest, narrowest in extremes)
-    stride_bounds = [
-        widest - narrowest + 1 for widest, narrowest in extremes[primitivity(m) - 1 :]
-    ]
-    sampled_int = -(-sampled.numerator // sampled.denominator)
-    n_exact = max(sampled_int, min(stride_bounds))
+    # the ceiling of the largest ratio is the largest ceiling
+    sampled = max(-(-widest // narrowest) for widest, narrowest in extremes)
+    stride = min(widest - narrowest + 1 for widest, narrowest in extremes[primitivity(m) - 1 :])
+    n_exact = max(sampled, stride)
     warnings = ()
-    if n_exact > sampled_int:
-        warnings = (
-            f"N escalated from sampled {sampled_int} to {n_exact} by the tail certificate",
-        )
+    if n_exact > sampled:
+        warnings = (f"N escalated from sampled {sampled} to {n_exact} by the tail certificate",)
     return n_exact, warnings
 
 
@@ -427,7 +425,7 @@ def recognizability_bound(
     ceiling K*i.  Values whose exact form would exceed the digit cap are
     returned in logarithmic form, labeled approximate."""
     require_aperiodic(m)
-    warnings = [f"aperiodicity screened to n={DEFAULT_APERIODICITY_N}, not proven"]
+    warnings = [APERIODICITY_HEDGE]
     d = m.size if safe_d else injectivity_exponent(m)
 
     if mode == "empirical_exact":

@@ -400,3 +400,24 @@ def random_primitive_rules(
         if first_positive_power(incidence(rules)[1], d * d - 2 * d + 2) is not None:
             drawn.append(rules)
     return drawn
+
+
+def random_bracketed_texts(
+    rng, count: int, letters: tuple[int, int], image: tuple[int, int]
+) -> list[str]:
+    """count primitive morphisms on the k letters [x0], ..., [x(k-1)], as
+    rule text in the form chain_text writes; k and the image lengths are
+    drawn uniformly from the given inclusive ranges.  A draw is kept when
+    every letter occurs in an image and M^j > 0 for some j <= 2k, so every
+    kept draw is primitive; a primitive draw of a larger exponent is
+    passed over, which keeps a rejection cheap on 30 letters."""
+    drawn = []
+    while len(drawn) < count:
+        k = rng.randint(*letters)
+        names = [f"[x{i}]" for i in range(k)]
+        rules = {a: [rng.choice(names) for _ in range(rng.randint(*image))] for a in names}
+        if {b for im in rules.values() for b in im} != set(names):
+            continue  # a letter in no image: M is reducible
+        if first_positive_power(incidence(rules)[1], 2 * k) is not None:
+            drawn.append("".join(f"{a} -> {' '.join(im)}\n" for a, im in rules.items()))
+    return drawn

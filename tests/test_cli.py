@@ -4,8 +4,10 @@ import json
 import os
 import re
 import resource
+import random
 import subprocess
 import sys
+import time
 from decimal import Decimal
 from pathlib import Path
 
@@ -27,7 +29,7 @@ from subrec import (
 )
 from subrec.errors import InputError
 
-from oracles import chain_text
+from oracles import chain_text, random_bracketed_texts
 
 FIB_TEXT = "a -> a b\nb -> a\n"
 TM_TEXT = "a -> a b\nb -> b a\n"
@@ -41,6 +43,9 @@ ROADMAP6_TEXT = "a -> e e\nb -> c e\nc -> f e a\nd -> d c\ne -> b f\nf -> e e d\
 # N = 11, R = 627: the empirical bound counts p(i) up to 6899
 STREAM_TEXT = "f -> u u\np -> f u x\nu -> u x\nx -> x p\n"
 # 12-uniform on four letters: the certified R has 88 digits
+# primitive, with a first admissible seed of power 20: its default window
+# would hold 4,226,328 letters, past fixedpoint.WINDOW_MAX_LETTERS
+SEED20_TEXT = "a -> c e c\nb -> e e\nc -> e b b b\nd -> a\ne -> d a b d\n"
 U12_TEXT = (
     "a -> a b a c a d b b c a d a\nb -> b c b a d d a c b a b c\n"
     "c -> c d a b c a d b c c a b\nd -> d a c b d b a c d a c d\n"
@@ -101,12 +106,30 @@ class TestExitCodes:
         code, _, _ = invoke(["bound", morph_file("fib.morph", FIB_TEXT)])
         assert code == 2  # --mode is required
 
+    @pytest.mark.parametrize("argv, text, code, message", [
+        pytest.param(["bound", "--mode", "empirical"], PER_TEXT, 1,
+                     "fixed point is periodic (period 2); not recognizable", id="periodic"),
+        pytest.param(["verify", "--L", "1"], "a -> a\n", 2,
+                     "no admissible seed; cannot build a window", id="no-seed"),
+        pytest.param(["verify", "--L", "1"], SEED20_TEXT, 3,
+                     "cap exceeded: word of length 4226328 exceeds cap 2000000", id="window-cap"),
+    ])
+    def test_refusal(self, argv, text, code, message, morph_file):
+        """Each refusal class has its exit code and one stderr line."""
+        path = morph_file("in.morph", text)
+        assert invoke([argv[0], path, *argv[1:]]) == (code, "", f"subrec: {message}\n")
+
 
 class TestSubcommands:
     def test_seeds(self, morph_file):
         code, out, _ = invoke(["seeds", morph_file("fib.morph", FIB_TEXT)])
         assert code == 0
         assert "power 2" in out and "a.a" in out and "b.a" in out
+
+    def test_seeds_json(self, morph_file):
+        code, out, err = invoke(["seeds", morph_file("fib.morph", FIB_TEXT), "--json"])
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"power": 2, "pairs": [["a", "a"], ["b", "a"]]}
 
     def test_seeds_identity_names_the_cause(self, morph_file):
         # a -> a is the one primitive morphism without a seed
@@ -278,6 +301,11 @@ class TestAnalyzeReport:
         data = json.loads(emit_report(analyze(tm), as_json=True))
         assert data["bounds"]["klouda_medkova"] == 8
         assert data["delay"]["C"] == 4
+
+    def test_klouda_medkova_human_line(self, morph_file):
+        code, out, _ = invoke(["analyze", morph_file("tm.morph", TM_TEXT)])
+        assert code == 0
+        assert "bound klouda_medkova       8" in out.splitlines()
 
     def test_periodic_report_warnings(self, per):
         report = analyze(per)
@@ -547,15 +575,49 @@ class TestLog10PastFloatRange:
 
 
 class TestWindowCap:
-    """verify and analyze refuse a window past fixedpoint.WINDOW_MAX_LETTERS
-    up front; no option changes the cap."""
+    """A window past fixedpoint.WINDOW_MAX_LETTERS is refused up front; no
+    option changes the cap.  verify, whose whole job is the window, exits
+    3; analyze leaves its empirical block out and says why."""
 
-    @pytest.mark.parametrize("command", [["verify", "--L", "1"], ["analyze"]])
+    @pytest.mark.parametrize("command", [["verify", "--L", "1"]])
     def test_huge_radius_refused(self, command, morph_file):
         path = morph_file("fib.morph", FIB_TEXT)
         code, out, err = invoke([command[0], path, *command[1:], "--radius", "1000000000"])
         assert (code, out) == (3, "")
         assert f"exceeds cap {WINDOW_MAX_LETTERS}" in err
+
+    @pytest.mark.parametrize("text, radius, letters", [
+        pytest.param(FIB_TEXT, "1000000000", 2692538, id="huge-radius"),
+        pytest.param(SEED20_TEXT, "1000", 4226328, id="seed-power-20"),
+    ])
+    def test_analyze_omits_the_window(self, text, radius, letters, morph_file):
+        path = morph_file("in.morph", text)
+        code, out, err = invoke(["analyze", path, "--json", "--radius", radius])
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert data["empirical"] is None
+        omitted = f"empirical omitted: word of length {letters} exceeds cap {WINDOW_MAX_LETTERS}"
+        assert omitted in data["warnings"]
+        assert "maindetail_certified" in data["bounds"]
+
+
+class TestRandomLargeAlphabets:
+    """analyze answers on random primitive morphisms of 10 to 30 letters:
+    a block it cannot compute is left out beside its warning."""
+
+    DRAWS = random_bracketed_texts(random.Random(1), 8, (10, 30), (1, 4))
+
+    @pytest.mark.parametrize("draw", range(8))
+    def test_report_in_time(self, draw):
+        m = parse_morphism(self.DRAWS[draw])
+        start = time.perf_counter()
+        report = analyze(m)
+        assert time.perf_counter() - start < 10
+        warnings = report["warnings"]
+        if report["empirical"] is None:
+            assert any(w.startswith("empirical omitted: ") for w in warnings)
+        if "maindetail" not in report["bounds"]:
+            assert any(w.startswith("bounds.maindetail omitted: ") for w in warnings)
 
 
 class TestExactCapEnvironment:

@@ -9,7 +9,7 @@ from subrec import (
     power,
 )
 from subrec import fixedpoint, zoo
-from subrec.errors import CapExceeded, InputError
+from subrec.errors import CapExceeded, InputError, SubrecError
 from subrec.morphism import FixedPointSeed
 
 from oracles import COLL_RULES, FIB_RULES, TM_RULES, TRIB_RULES, OracleWindow
@@ -230,3 +230,28 @@ class TestInterpretationLengthBounds:
                     t_max = widest * len(u) // narrowest
                     for interp in interpretations(sigma_n, image):
                         assert t_min <= len(interp.core) - 2 <= t_max
+
+
+FIB_SEED = FixedPointSeed(2, "\0", "\0")
+IDENTITY = parse_morphism("a -> a")
+
+
+class TestRefusals:
+    """Each library refusal of build_window: its exact class and message."""
+
+    @pytest.mark.parametrize("call, error, message", [
+        pytest.param(lambda: build_window(zoo.FIBONACCI, FIB_SEED, 0), InputError,
+                     "radius must be >= 1", id="radius"),
+        pytest.param(lambda: build_window(zoo.FIBONACCI, FIB_SEED._replace(power=0), 8),
+                     InputError, "seed power must be >= 1", id="seed-power"),
+        pytest.param(lambda: build_window(zoo.FIBONACCI, FIB_SEED._replace(left="\2"), 8),
+                     InputError, "seed letter out of range", id="seed-letter"),
+        pytest.param(lambda: build_window(zoo.FIBONACCI, FixedPointSeed(1, "\1", "\0"), 8),
+                     InputError, "sigma^1(b) does not end with it", id="seed-end"),
+        pytest.param(lambda: build_window(IDENTITY, FixedPointSeed(1, "\0", "\0"), 8),
+                     InputError, "images of length 1 only: no growing fixed point", id="identity"),
+    ])
+    def test_refusal(self, call, error, message):
+        with pytest.raises(SubrecError) as info:
+            call()
+        assert (type(info.value), str(info.value)) == (error, message)

@@ -16,7 +16,7 @@ from subrec import (
     recurrence_constant_empirical,
 )
 from subrec import certified_constants, language, zoo
-from subrec.errors import CapExceeded, InputError, NotAperiodicError
+from subrec.errors import CapExceeded, InputError, NotAperiodicError, SubrecError
 from subrec.language import (
     BLOCK_SCAN_PERIOD,
     FactorLanguage,
@@ -519,3 +519,18 @@ class TestFixedPointPrefix:
             m = parsed(rules)
             for length in (500, 37, 3000, 1):
                 assert m.decode(fixed_point_prefix(m, length)) == prefix(rules, length)
+
+
+class TestRefusals:
+    """Each library refusal of a factor slice: its exact class and message."""
+
+    @pytest.mark.parametrize("call, error, message", [
+        pytest.param(lambda: language_of(zoo.FIBONACCI).slice(-1), InputError,
+                     "factor length must be >= 0", id="slice"),
+        pytest.param(lambda: factor_language(zoo.FIBONACCI, 0), InputError,
+                     "n must be >= 1", id="factor-language"),
+    ])
+    def test_refusal(self, call, error, message):
+        with pytest.raises(SubrecError) as info:
+            call()
+        assert (type(info.value), str(info.value)) == (error, message)

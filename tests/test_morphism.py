@@ -18,8 +18,8 @@ from subrec import (
     wielandt_bound,
 )
 from subrec import zoo
-from subrec.errors import CapExceeded, InputError, MorphismSyntaxError
-from subrec.morphism import IncidenceMatrix, end_letters, length_rows
+from subrec.errors import CapExceeded, InputError, MorphismSyntaxError, SubrecError
+from subrec.morphism import IncidenceMatrix, Morphism, end_letters, length_rows
 
 from oracles import (
     FIB_RULES,
@@ -300,3 +300,41 @@ class TestPowerScaledConstant:
     def test_degenerate_width(self):
         with pytest.raises(InputError, match=r"widest image length is 1 \(periodic fixed point\)"):
             power_scaled_constant(3, 2, 1)
+
+
+FIB = zoo.FIBONACCI
+
+
+class TestRefusals:
+    """Each library refusal of this module: its exact class and message."""
+
+    @pytest.mark.parametrize("call, error, message", [
+        pytest.param(lambda: Morphism((), ()), InputError, "empty alphabet", id="no-letters"),
+        pytest.param(lambda: Morphism(("a",), ()), InputError,
+                     "one image per letter required", id="no-image"),
+        pytest.param(lambda: Morphism(("a", "a"), ("\0", "\0")), InputError,
+                     "display tokens must be pairwise distinct", id="same-tokens"),
+        pytest.param(lambda: Morphism(("a",), ("",)), InputError,
+                     "image of letter 'a' is empty", id="empty-image"),
+        pytest.param(lambda: Morphism(("a",), ("\1",)), InputError,
+                     "image of 'a' uses an unknown letter", id="image-past-alphabet"),
+        pytest.param(lambda: FIB.encode("[ab"), InputError,
+                     "unterminated bracket token in '[ab'", id="encode-bracket"),
+        pytest.param(lambda: FIB.encode("abc"), InputError,
+                     "unknown letter 'c'", id="encode-unknown"),
+        pytest.param(lambda: parse_morphism("a -> a [b\n"), MorphismSyntaxError,
+                     "line 1, column 8: bad token '[b'", id="parse-image-token"),
+        pytest.param(lambda: parse_morphism("# a comment\n\n"), MorphismSyntaxError,
+                     "line 1, column 1: no rules found", id="parse-no-rules"),
+        pytest.param(lambda: incidence_matrix(FIB).power(-1), InputError,
+                     "negative matrix power", id="matrix-power"),
+        pytest.param(lambda: power(FIB, 0), InputError, "power must be >= 1", id="power"),
+        pytest.param(lambda: power_scaled_constant(1, 0, 2), InputError,
+                     "k must be >= 1", id="scaled-k"),
+        pytest.param(lambda: power_scaled_constant(1, 1, 0), InputError,
+                     "widest must be >= 1", id="scaled-widest"),
+    ])
+    def test_refusal(self, call, error, message):
+        with pytest.raises(SubrecError) as info:
+            call()
+        assert (type(info.value), str(info.value)) == (error, message)

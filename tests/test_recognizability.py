@@ -29,7 +29,7 @@ from subrec import (
 )
 from subrec import language, power_free_index, recognizability, recurrence_constant_empirical, zoo
 from subrec.cli import _delay_json
-from subrec.errors import CapExceeded, InputError, NotAperiodicError
+from subrec.errors import CapExceeded, InputError, NotAperiodicError, SubrecError
 from subrec.language import aperiodicity_check
 from subrec.morphism import IncidenceMatrix, parse_morphism, primitivity
 from subrec.recognizability import _kernel_partition, _largest_constant
@@ -611,3 +611,24 @@ class TestKloudaMedkova:
         assert klouda_medkova_bound(5) == 36  # odd prime
         assert klouda_medkova_bound(6) == 98  # 36*(3-1) + 26
         assert klouda_medkova_bound(9) == 203  # odd composite: 81*(3-1) + 41
+
+
+class TestRefusals:
+    """Each library refusal of this module: its exact class and message."""
+
+    @pytest.mark.parametrize("call, error, message", [
+        pytest.param(lambda: interpretations(zoo.FIBONACCI, ""), InputError,
+                     "u must be non-empty", id="interpretations"),
+        pytest.param(lambda: synchronizing_delay(zoo.FIBONACCI, 0), InputError,
+                     "n_max must be >= 1", id="delay"),
+        pytest.param(lambda: verify_constant(window_of(zoo.FIBONACCI, 50), -1, 1), InputError,
+                     "L must be >= 0", id="verify"),
+        pytest.param(lambda: minimal_constant_empirical(window_of(zoo.FIBONACCI, 50), 1, -1),
+                     InputError, "L_max must be >= 0", id="scan"),
+        pytest.param(lambda: recognizability_bound(zoo.FIBONACCI, "exact"), InputError,
+                     "unknown mode 'exact'", id="bound-mode"),
+    ])
+    def test_refusal(self, call, error, message):
+        with pytest.raises(SubrecError) as info:
+            call()
+        assert (type(info.value), str(info.value)) == (error, message)
