@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, Context, Decimal
 
 
 def int_log10(x: int) -> float:
@@ -44,6 +44,22 @@ def digits10(x: int) -> int:
 
 
 def big_str(x: int) -> str:
-    """Decimal string of an integer of any size: Decimal(x) is exact and,
-    unlike str(x), not bound by the interpreter's int-string limit."""
-    return str(Decimal(x))
+    """Decimal string of an integer of any size, not bound by the
+    interpreter's int-string limit.  Decimal(x) is exact but quadratic in
+    the digits (Python 3.10 and 3.11), so past about 4,000 bits x is split
+    at 2^w, w half its bits, and the halves' Decimals are joined in exact
+    decimal arithmetic, whose multiplication is subquadratic; each 2^w is
+    built once per call."""
+    if x < 0:
+        return "-" + big_str(-x)
+    exact, powers = Context(prec=MAX_PREC, Emax=MAX_EMAX), {}
+
+    def convert(x: int, bits: int) -> Decimal:
+        if bits <= 4000:
+            return Decimal(x)
+        w = bits // 2
+        if w not in powers:
+            powers[w] = exact.power(2, w)
+        return exact.fma(convert(x >> w, bits - w), powers[w], convert(x & ((1 << w) - 1), w))
+
+    return str(convert(x, x.bit_length()))

@@ -248,11 +248,13 @@ def verify_constant(window: Window, L: int, p: int) -> VerifyResult:
     carrying the same preimage letter.  Counterexamples are globally valid;
     "ok" only says the window exhibited no conflict.
 
-    Cost: one pass interns each context as its first-occurrence rank, one
-    loop over the cuts marks each with its preimage letter, and one set-size
-    test says "ok" when no context carries two marks.  Otherwise the nearest
-    cuts are tabled per context and letter (smallest |i|, then position),
-    and a scan runs outward from the junction to the first |m| with a
+    Cost: _conflict reads only the cuts' contexts, at the radii 1, 2, 4, ...
+    below L and then at L.  The first radius without a conflict says "ok"
+    for L (every centre at L is one at r < L, and a longer context only
+    refines the partition), so an unrefuted large L is mostly decided where
+    few cut contexts need a search.  Otherwise the nearest cuts are tabled
+    per cut context and letter (smallest |i|, then position), and a scan
+    slices contexts outward from the junction to the first |m| with a
     conflict.  Ties: smallest |m|, then |i|, then the context met first in
     the window, then a non-cut before a cut, then the position m.
     """
@@ -261,46 +263,50 @@ def verify_constant(window: Window, L: int, p: int) -> VerifyResult:
     cut_info = cutting_points(window, p)
     if L > _largest_constant(window, p):
         raise InputError(f"window [{window.lo},{window.hi}) too small for L={L} at level {p}")
-    content, start = window.content, window.lo + L
-    rank, marks, unrefuted = _marked_contexts(content, cut_info, start, L)
-    if unrefuted:
+    content, lo, hi = window.content, window.lo, window.hi
+    ladder = [r for r in (1 << j for j in range(L.bit_length())) if r < L] + [L]
+    if not all(_conflict(content, cut_info, lo, r) for r in ladder):
         return VerifyResult(None)
-    # nearest[rank][letter] = (|i|, cut, i)
-    nearest: dict[int, dict[str, tuple[int, int, int]]] = {}
+    # nearest[context][letter] = (|i|, cut, i)
+    nearest: dict[Word, dict[str, tuple[int, int, int]]] = {}
     for pos, (i, letter) in cut_info.items():
-        if 0 <= pos - start < len(rank):
-            table, cut = nearest.setdefault(rank[pos - start], {}), (abs(i), pos, i)
-            table[letter] = min(table.get(letter, cut), cut)
+        if lo + L <= pos < hi - L:
+            table = nearest.setdefault(content[pos - lo - L : pos - lo + L + 1], {})
+            table[letter] = min(table.get(letter, (abs(i), pos, i)), (abs(i), pos, i))
     # a context carries two marks, so the scan meets a pair before r = len(content)
     for r in range(len(content)):
         found = []
-        for k in {-r - start, r - start}:
-            if 0 <= k < len(rank):
-                rivals = [c for letter, c in nearest.get(rank[k], {}).items() if letter != marks[k]]
+        for m in {-r, r}:
+            if lo + L <= m < hi - L:
+                context, mark = content[m - lo - L : m - lo + L + 1], cut_info.get(m, (0, None))[1]
+                rivals = [c for letter, c in nearest.get(context, {}).items() if letter != mark]
                 if rivals:
                     cut = min(rivals)
-                    found.append((cut[0], rank[k], marks[k] is not None, k, cut))
+                    found.append((cut[0], content.find(context), mark is not None, m, cut))
         if found:
-            *_, k, (_, c_pos, i) = min(found)
-            kind = "not_a_cut" if marks[k] is None else "preimage_mismatch"
-            return VerifyResult(Counterexample(i, c_pos, start + k, kind))
+            _, _, is_cut, m, (_, c_pos, i) = min(found)
+            kind = "preimage_mismatch" if is_cut else "not_a_cut"
+            return VerifyResult(Counterexample(i, c_pos, m, kind))
 
 
-def _marked_contexts(
-    content: Word, cut_info: dict[int, tuple[int, str]], start: int, L: int
-) -> tuple[list[int], list[str | None], bool]:
-    """(rank, marks, unrefuted) for the window positions start + k:
-    rank[k] is the first-occurrence rank of the (2L+1)-letter context
-    there, marks[k] the preimage letter of a cut there (None elsewhere),
-    and unrefuted says that no context carries two marks."""
-    ranks: dict[Word, int] = {}
-    width = 2 * L + 1
-    rank = [ranks.setdefault(content[k : k + width], len(ranks)) for k in range(len(content) - 2 * L)]
-    marks: list[str | None] = [None] * len(rank)
+def _conflict(content: Word, cut_info: dict[int, tuple[int, str]], lo: int, L: int) -> bool:
+    """Whether a (2L+1)-letter context carries two marks: the preimage
+    letters of two cuts, or a cut's letter and a non-cut.  Only a cut's
+    context can, so each new cut context is searched for along the window,
+    up to its first occurrence that is not a cut of the same letter."""
+    start, width = lo + L, 2 * L + 1
+    seen: set[Word] = set()
     for pos, (_, letter) in cut_info.items():
-        if 0 <= pos - start < len(rank):
-            marks[pos - start] = letter
-    return rank, marks, len(set(zip(rank, marks))) == len(ranks)
+        k = pos - start
+        context = content[k : k + width]
+        if context in seen or not 0 <= k <= len(content) - width:
+            continue
+        seen.add(context)
+        j = -1
+        while (j := content.find(context, j + 1)) >= 0:
+            if cut_info.get(start + j, (0, None))[1] != letter:
+                return True
+    return False
 
 
 def _largest_constant(window: Window, p: int) -> int:
@@ -314,8 +320,9 @@ def minimal_constant_empirical(window: Window, p: int, L_max: int) -> tuple[int,
     L = 0..checked, checked being L_max cut to the largest L the window
     can check (L = 0 always runs).  L is the least L the window does not
     refute, checked + 1 when it refutes them all.  The cuts and the
-    content are read once per scan, and each L is decided by the set-size
-    test alone: no refutation is built.
+    content are read once per scan, and each L is decided by _conflict
+    alone, which reads only the cuts' contexts: no refutation is built,
+    and the ascending scan is its own ladder.
 
     Every refuted L is a global fact, so L is a certified lower bound.
     Window-relative "ok" is monotone in L (a longer context only refines
@@ -325,7 +332,7 @@ def minimal_constant_empirical(window: Window, p: int, L_max: int) -> tuple[int,
     checked = max(0, min(L_max, _largest_constant(window, p)))
     cut_info, content = cutting_points(window, p), window.content
     for L in range(checked + 1):
-        if _marked_contexts(content, cut_info, window.lo + L, L)[2]:
+        if not _conflict(content, cut_info, window.lo, L):
             return L, checked
     return checked + 1, checked
 

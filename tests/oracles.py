@@ -3,7 +3,7 @@
 Everything here works on plain display strings and dict-based rules,
 deliberately sharing no code with the package: expansion is a literal
 join loop, powers are found by quadratic scanning and by XOR-ing every
-shift of the whole text, primitivity by integer matrix powers, cut sets
+shift of the whole text, primitivity by boolean matrix powers, cut sets
 by cumulative sums over independently expanded preimage words.
 """
 
@@ -182,19 +182,17 @@ def incidence(rules: dict[str, str]) -> tuple[list[str], list[list[int]]]:
     return letters, mat
 
 
-def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    n = len(a)
-    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-
-
 def first_positive_power(mat: list[list[int]], k_max: int) -> int | None:
-    """Smallest k <= k_max with mat^k entirely positive, by plain integer
-    matrix products."""
-    current = mat
+    """Smallest k <= k_max with mat^k entirely positive, by boolean matrix
+    products: only where an entry is positive matters, so each row is the
+    set of its positive columns, and row i of mat^(k+1) is the union of
+    the rows of mat indexed by row i of mat^k."""
+    support = [{j for j, entry in enumerate(row) if entry > 0} for row in mat]
+    current = support
     for k in range(1, k_max + 1):
-        if all(entry > 0 for row in current for entry in row):
+        if all(len(row) == len(mat) for row in current):
             return k
-        current = mat_mul(current, mat)
+        current = [set().union(*(support[j] for j in row)) for row in current]
     return None
 
 
@@ -410,7 +408,8 @@ def random_bracketed_texts(
     drawn uniformly from the given inclusive ranges.  A draw is kept when
     every letter occurs in an image and M^j > 0 for some j <= 2k, so every
     kept draw is primitive; a primitive draw of a larger exponent is
-    passed over, which keeps a rejection cheap on 30 letters."""
+    passed over, so the draws of a seed stay those the tests were written
+    against."""
     drawn = []
     while len(drawn) < count:
         k = rng.randint(*letters)

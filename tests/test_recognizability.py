@@ -3,6 +3,7 @@ import functools
 import math
 import random
 import time
+import timeit
 import tracemalloc
 
 import pytest
@@ -71,6 +72,19 @@ def rules_id(rules):
 
 def window_of(m, radius=1000, min_level=4):
     return build_window(m, admissible_seeds(m)[0], radius, min_level=min_level)
+
+
+def oracle_of(w, rules):
+    """The independent window of the same seed and depth as w."""
+    m, seed = w.morphism, w.seed
+    return OracleWindow(
+        rules, m.decode(seed.left), m.decode(seed.right), seed.power, w.max_level // seed.power
+    )
+
+
+def reference_result(oracle, L, p):
+    ref = verify_reference(oracle, L, p)
+    return VerifyResult(None if ref is None else Counterexample(*ref))
 
 
 class TestInjectivityExponent:
@@ -316,12 +330,8 @@ class TestVerifyConstant:
 
     def test_counterexample_is_globally_valid(self):
         for m, rules in RULED:
-            seed = admissible_seeds(m)[0]
-            w = build_window(m, seed, 300)
-            steps = w.max_level // seed.power
-            oracle = OracleWindow(
-                rules, m.decode(seed.left), m.decode(seed.right), seed.power, steps
-            )
+            w = window_of(m, 300, min_level=0)
+            oracle = oracle_of(w, rules)
             for p in (1, 2):
                 for L in range(0, 4):
                     result = verify_constant(w, L, p)
@@ -345,33 +355,51 @@ class TestVerifyConstant:
         assert ce == Counterexample(-1, -2, 0, "preimage_mismatch")
 
     def test_matches_bucket_reference_random(self):
-        """The bucket reference on random aperiodic draws, at every L of the
-        grid the radius-300 window can check."""
+        """The bucket reference on random aperiodic draws, at three levels
+        and every L up to 12 the radius-300 window can check: L = 3, 5-7
+        and 9-12 each pass the radii 1, 2, 4, ... below them first."""
         kept = 0
         for rules in random_primitive_rules(random.Random(36), 20, (2, 4), (1, 4)):
             m = parse_morphism("\n".join(f"{a} -> {' '.join(image)}" for a, image in rules.items()))
             if m.widest == 1 or aperiodicity_check(m) is not None:
                 continue
             kept += 1
-            seed = admissible_seeds(m)[0]
-            w = build_window(m, seed, 300, min_level=2)
-            steps = w.max_level // seed.power
-            oracle = OracleWindow(
-                rules, m.decode(seed.left), m.decode(seed.right), seed.power, steps
-            )
-            for p in (1, 2):
-                for L in (L for L in (0, 1, 2, 4, 8) if L <= _largest_constant(w, p)):
-                    ref = verify_reference(oracle, L, p)
-                    expected = VerifyResult(None if ref is None else Counterexample(*ref))
-                    assert verify_constant(w, L, p) == expected, (rules, L, p)
+            w = window_of(m, 300, min_level=3)
+            oracle = oracle_of(w, rules)
+            for p in (1, 2, 3):
+                for L in range(min(12, _largest_constant(w, p)) + 1):
+                    assert verify_constant(w, L, p) == reference_result(oracle, L, p), (rules, L, p)
         assert kept >= 10
 
+    def test_matches_bucket_reference_at_large_L(self, fib, per):
+        """An unrefuted L = 500 on the 13,530-letter Fibonacci window, and a
+        refuted L = 100 on the periodic one."""
+        w = build_window(fib, admissible_seeds(fib)[0], 5_000)
+        assert len(w.content) == 13_530
+        result = verify_constant(w, 500, 1)
+        assert result.ok and result == reference_result(oracle_of(w, FIB_RULES), 500, 1)
+        w = window_of(per)
+        expected = reference_result(oracle_of(w, PER_RULES), 100, 1)
+        assert not expected.ok and verify_constant(w, 100, 1) == expected
+
+    def test_large_L_decided_at_a_small_radius(self, fib):
+        """An unrefuted L is decided at the first radius 1, 2, 4, ... with no
+        conflict, not by searching the window for each of the ~1,000 cut
+        contexts of radius 500 (about ten times the time of L = 8)."""
+        w = build_window(fib, admissible_seeds(fib)[0], 5_000)
+
+        def fastest(L):
+            return min(timeit.repeat(lambda: verify_constant(w, L, 1), number=1, repeat=3))
+
+        fastest(8)
+        assert fastest(500) <= 4 * fastest(8)
+
     def test_memory_one_int_per_position(self, fib):
-        """The verifier keeps one int per position and one string per
-        distinct context.  A (2L+1)-letter string per position would cost
-        about 13 MB on this 13,530-letter window at L = 500; the interned
-        pass peaks near 2.6 MB, about half of it the cut dict of
-        cutting_points and most of the rest the 1,002 distinct contexts."""
+        """The verifier reads only the cuts' contexts and keeps one string
+        per distinct cut context it searches for.  A (2L+1)-letter string
+        per position would cost about 13 MB on this 13,530-letter window at
+        L = 500; the call peaks near 1.2 MB, nearly all of it the cut dict
+        of cutting_points."""
         w = build_window(fib, admissible_seeds(fib)[0], 5_000)
         assert len(w.content) == 13_530
         tracemalloc.start()
@@ -388,17 +416,11 @@ class TestVerifyConstant:
         ids=["fib", "tm", "trib", "coll", "per", "mixed"],
     )
     def test_matches_bucket_reference(self, m, rules):
-        seed = admissible_seeds(m)[0]
-        w = build_window(m, seed, 300, min_level=3)
-        steps = w.max_level // seed.power
-        oracle = OracleWindow(
-            rules, m.decode(seed.left), m.decode(seed.right), seed.power, steps
-        )
+        w = window_of(m, 300, min_level=3)
+        oracle = oracle_of(w, rules)
         for p in (1, 2, 3):
             for L in (0, 1, 2, 3, 4, 6, 8):
-                ref = verify_reference(oracle, L, p)
-                expected = VerifyResult(None if ref is None else Counterexample(*ref))
-                assert verify_constant(w, L, p) == expected
+                assert verify_constant(w, L, p) == reference_result(oracle, L, p)
 
     def test_tie_break_context_order_tm(self, tm):
         # (|m|, |i|) ties between m = 4 and m = -4; the context met first wins
@@ -428,8 +450,8 @@ class TestMinimalConstant:
         # every L <= 8 refuted: L = checked + 1
         assert minimal_constant_empirical(window_of(per), 1, 8) == (9, 8)
 
-    def test_scan_takes_verify_constant_verdicts(self):
-        """The scan's L is the least L that verify_constant does not
+    def test_scan_matches_bucket_reference(self):
+        """The scan's L is the least L that the bucket reference does not
         refute, checked + 1 when it refutes them all, on random draws
         (periodic ones included) at two levels."""
         kept = periodic = 0
@@ -439,12 +461,13 @@ class TestMinimalConstant:
                 continue
             kept += 1
             periodic += aperiodicity_check(m) is not None
-            w = build_window(m, admissible_seeds(m)[0], 300, min_level=2)
+            w = window_of(m, 300, min_level=2)
+            oracle = oracle_of(w, rules)
             for p in (1, 2):
                 L, checked = minimal_constant_empirical(w, p, 12)
                 assert checked == max(0, min(12, _largest_constant(w, p)))
-                verdicts = [verify_constant(w, k, p).ok for k in range(checked + 1)]
-                assert L == (verdicts.index(True) if True in verdicts else checked + 1), (rules, p)
+                unrefuted = (k for k in range(checked + 1) if verify_reference(oracle, k, p) is None)
+                assert L == next(unrefuted, checked + 1), (rules, p)
         assert kept >= 10 and periodic >= 1
 
 
